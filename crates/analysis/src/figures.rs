@@ -2,7 +2,7 @@
 //!
 //! Each builder consumes the published [`Dataset`] only — never simulator
 //! ground truth — and returns plain data (fractions, ECDFs, distance
-//! vectors) that the report renderer and the benches print.
+//! vectors) that the report renderer prints.
 
 use crate::stats::Ecdf;
 use crate::taxonomy::{classify, AccessClasses};

@@ -36,7 +36,7 @@ pub struct WorkspaceCtx {
 
 /// Crate kinds pass 2 never applies to: free-floating test trees.
 fn is_test_crate(krate: &str) -> bool {
-    matches!(krate, "tests" | "examples" | "unknown" | "bench")
+    matches!(krate, "tests" | "examples" | "unknown")
 }
 
 /// Run every workspace rule; the engine filters by enabled rule ids.

@@ -110,9 +110,22 @@ impl TelemetryReport {
         }
     }
 
-    /// The phase-time table (`--profile` output).
+    /// Wall time of the outermost phases. A phase opened inside another
+    /// (`scrape` inside `event-loop`) is already part of its parent's
+    /// time, so only span-tree roots count — or every phase when no
+    /// span tree was recorded.
+    fn phase_total(&self) -> Duration {
+        self.phases
+            .iter()
+            .filter(|p| self.spans.is_empty() || self.spans.node(&p.name).is_some())
+            .map(|p| p.total)
+            .sum()
+    }
+
+    /// The phase-time table (`--profile` output). Nested phases are
+    /// listed too; the total and the share column count roots only.
     pub fn phase_table(&self) -> String {
-        let total: Duration = self.phases.iter().map(|p| p.total).sum();
+        let total = self.phase_total();
         let mut t = Table::new(&["phase", "wall time", "share", "entries"]).numeric();
         for p in &self.phases {
             let share = if total.is_zero() {
@@ -409,6 +422,23 @@ mod tests {
         b.count("x");
         drop(a.span("corpus"));
         assert_eq!(a.report(), b.report());
+    }
+
+    #[test]
+    fn phase_total_counts_nested_phases_once() {
+        let sink = TelemetrySink::enabled();
+        {
+            let _outer = sink.span("outer");
+            drop(sink.span("inner"));
+        }
+        let report = sink.report();
+        let outer = report.phases.iter().find(|p| p.name == "outer").unwrap();
+        assert_eq!(report.phases.len(), 2);
+        assert_eq!(report.phase_total(), outer.total);
+        let table = report.phase_table();
+        assert!(table.contains("inner"), "nested phases are still listed");
+        let total_row = table.lines().find(|l| l.starts_with("total")).unwrap();
+        assert!(total_row.contains(&format_duration(outer.total)));
     }
 
     #[test]

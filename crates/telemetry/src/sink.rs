@@ -11,7 +11,7 @@
 //!
 //! [`span`](TelemetrySink::span) opens a **phase span**: its wall time
 //! is folded both into the flat phase profiler (keeping `--profile`
-//! output and bench baselines stable) and into the hierarchical
+//! output stable) and into the hierarchical
 //! [`SpanTree`] at the current nesting
 //! depth. [`subspan`](TelemetrySink::subspan) and
 //! [`SpanGuard::child`] open **attribution spans** that only feed the

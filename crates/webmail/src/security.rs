@@ -6,7 +6,7 @@
 //!   Google *disabled* it for the honey accounts so that accesses would
 //!   get through ("most accesses would be blocked if Google did not
 //!   disable the login filters"). We implement it anyway — toggling it is
-//!   one of our ablation benches — scoring each login by Tor membership,
+//!   the login-filter ablation — scoring each login by Tor membership,
 //!   distance from the account's habitual locations, and device novelty.
 //! * The **abuse detector**, which stayed enabled and blocked 42 of the
 //!   100 accounts during the experiment. It accumulates per-account abuse
