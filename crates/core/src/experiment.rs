@@ -155,7 +155,7 @@ impl Experiment {
 
         // --- Account setup ----------------------------------------------
         let horizon = SimTime::ZERO + SimDuration::days(cfg.observation_days);
-        let span = self.telemetry.span("corpus");
+        let span = self.telemetry.span("corpus", &[]);
         let (mut accounts, corpus_text, extra_stopwords) = self.setup_accounts(
             &mut service,
             &mut runtime,
@@ -167,13 +167,13 @@ impl Experiment {
         drop(span);
 
         // --- Leaks -------------------------------------------------------
-        let span = self.telemetry.span("leaks");
+        let span = self.telemetry.span("leaks", &[]);
         let (leaks, malware_sales, mut ground_truth) =
             self.leak_credentials(&mut accounts, &mut rng_leak);
         drop(span);
 
         // --- Attacker access plans ----------------------------------------
-        let span = self.telemetry.span("attack-plans");
+        let span = self.telemetry.span("attack-plans", &[]);
         let mut accesses =
             self.build_accesses(&accounts, &malware_sales, horizon, &geo, &mut rng_attack);
         if cfg.case_studies {
@@ -199,7 +199,7 @@ impl Experiment {
             .collect();
 
         // --- Event loop ----------------------------------------------------
-        let loop_span = self.telemetry.span("event-loop");
+        let loop_span = self.telemetry.span("event-loop", &[]);
         let mut queue: EventQueue<Event> = EventQueue::new()
             .with_telemetry(self.telemetry.clone())
             .with_labeler(|e| match e {
@@ -207,7 +207,7 @@ impl Experiment {
                 Event::Scrape => "scrape",
                 Event::Heartbeat => "heartbeat",
             });
-        let sched_span = self.telemetry.subspan("schedule", &[]);
+        let sched_span = self.telemetry.span("schedule", &[]);
         for (ai, st) in states.iter().enumerate() {
             for (vi, v) in st.plan.visits.iter().enumerate() {
                 if v.start < horizon {
@@ -234,20 +234,20 @@ impl Experiment {
             // below — to its event kind, and for visits to the acting
             // attacker class (Figure 5's taxonomy).
             let ev_span = match &ev {
-                Event::Visit { access, .. } => self.telemetry.subspan(
+                Event::Visit { access, .. } => self.telemetry.span(
                     "event",
                     &[
                         ("kind", "visit"),
                         ("class", states[*access].plan.class.label()),
                     ],
                 ),
-                Event::Scrape => self.telemetry.subspan("event", &[("kind", "scrape")]),
-                Event::Heartbeat => self.telemetry.subspan("event", &[("kind", "heartbeat")]),
+                Event::Scrape => self.telemetry.span("event", &[("kind", "scrape")]),
+                Event::Heartbeat => self.telemetry.span("event", &[("kind", "heartbeat")]),
             };
             ev_span.sim(t.as_secs());
             match ev {
                 Event::Scrape => {
-                    let scrape_span = self.telemetry.span("scrape");
+                    let scrape_span = self.telemetry.span("scrape", &[]);
                     scraper.scrape_all(&mut service, t);
                     drop(scrape_span);
                     queue.schedule(t + scrape_gap, Event::Scrape);
@@ -277,7 +277,7 @@ impl Experiment {
         }
         // One final scrape right at the horizon, as the researchers would
         // do before ending data collection.
-        let scrape_span = self.telemetry.span("scrape");
+        let scrape_span = self.telemetry.span("scrape", &[]);
         scraper.scrape_all(&mut service, horizon);
         drop(scrape_span);
         scraper.finish(horizon);
@@ -310,7 +310,7 @@ impl Experiment {
         ground_truth.duplicate_notifications = collector.duplicates_detected();
 
         // --- Dataset ----------------------------------------------------------
-        let span = self.telemetry.span("dataset");
+        let span = self.telemetry.span("dataset", &[]);
         let account_records: Vec<AccountRecord> = accounts
             .iter()
             .map(|a| AccountRecord {
@@ -452,7 +452,7 @@ impl Experiment {
                 // ("vocab"), and mailbox/rule/script insertion ("index").
                 // Guards never reorder the RNG draws they wrap.
                 let (persona, address, password, id) = {
-                    let _stage = self.telemetry.subspan("addresses", &[]);
+                    let _stage = self.telemetry.span("addresses", &[]);
                     let persona = factory.generate(region, rng_setup);
                     let address = persona.webmail_address();
                     let password = format!("hp-{:08x}", rng_setup.next_u64() as u32);
@@ -477,7 +477,7 @@ impl Experiment {
                 };
 
                 let mailbox = {
-                    let _stage = self.telemetry.subspan("bodies", &[]);
+                    let _stage = self.telemetry.span("bodies", &[]);
                     generator.generate_mailbox(
                         &persona,
                         &peers,
@@ -487,7 +487,7 @@ impl Experiment {
                     )
                 };
                 {
-                    let _stage = self.telemetry.subspan("vocab", &[]);
+                    let _stage = self.telemetry.span("vocab", &[]);
                     for e in &mailbox {
                         corpus_text.push_str(&e.full_text());
                         corpus_text.push('\n');
@@ -495,25 +495,25 @@ impl Experiment {
                 }
                 let mailbox_len = mailbox.len();
                 {
-                    let _stage = self.telemetry.subspan("index", &[]);
+                    let _stage = self.telemetry.span("index", &[]);
                     service.seed_mailbox(id, mailbox);
                 }
                 if cfg.seed_decoys {
                     let decoys = {
-                        let _stage = self.telemetry.subspan("bodies", &[]);
+                        let _stage = self.telemetry.span("bodies", &[]);
                         generate_decoys(&persona, 5_000_000 + id.0 as u64 * 10, rng_corpus)
                     };
                     {
-                        let _stage = self.telemetry.subspan("vocab", &[]);
+                        let _stage = self.telemetry.span("vocab", &[]);
                         for d in &decoys {
                             corpus_text.push_str(&d.email.full_text());
                             corpus_text.push('\n');
                         }
                     }
-                    let _stage = self.telemetry.subspan("index", &[]);
+                    let _stage = self.telemetry.span("index", &[]);
                     service.seed_mailbox(id, decoys.into_iter().map(|d| d.email).collect());
                 }
-                let index_stage = self.telemetry.subspan("index", &[]);
+                let index_stage = self.telemetry.span("index", &[]);
                 service.set_send_from_override(id, "sinkhole@monitor.example");
                 // A lived-in mailbox has a couple of owner rules (§2);
                 // they label the routine traffic during seeding.

@@ -78,7 +78,7 @@ pub struct RunOutput {
 impl RunOutput {
     /// Run the full §4 analysis pipeline over the dataset.
     pub fn analysis(&self) -> FullAnalysis {
-        let _span = self.telemetry.span("analysis");
+        let _span = self.telemetry.span("analysis", &[]);
         FullAnalysis::compute(
             &self.dataset,
             &self.corpus_text,

@@ -254,7 +254,7 @@ impl Runner {
         let batch_sink = self.sink();
         batch_sink.gauge_set("runner.jobs", self.jobs as u64);
         batch_sink.count_by("runner.runs", n as u64);
-        let batch_span = batch_sink.span("runner.batch");
+        let batch_span = batch_sink.span("runner.batch", &[]);
 
         let queue: Mutex<VecDeque<(usize, ExperimentConfig)>> =
             Mutex::new(configs.into_iter().enumerate().collect());
@@ -334,7 +334,7 @@ impl Runner {
         let worker_sink = self.sink();
         loop {
             let next = {
-                let _wait = worker_sink.span("runner.queue-wait");
+                let _wait = worker_sink.span("runner.queue-wait", &[]);
                 queue
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -343,7 +343,7 @@ impl Runner {
             let Some((index, config)) = next else {
                 break;
             };
-            let run_span = worker_sink.span("runner.run");
+            let run_span = worker_sink.span("runner.run", &[]);
             let output = Experiment::new(config).with_telemetry(self.sink()).run();
             drop(run_span);
             // Snapshot before mapping: `map` may drop the output's sink.

@@ -646,9 +646,8 @@ mod tests {
         // drop-timing) inside the exempt telemetry crate, so a fully
         // instrumented deterministic fn must produce no findings...
         let instrumented = "pub fn event_loop(sink: &TelemetrySink) {\n\
-                            let span = sink.span(\"event-loop\");\n\
-                            let _child = span.child(\"event\", &[(\"kind\", \"visit\")]);\n\
-                            let _sub = sink.subspan(\"retry\", &[]);\n\
+                            let span = sink.span(\"event-loop\", &[]);\n\
+                            let _child = sink.span(\"event\", &[(\"kind\", \"visit\")]);\n\
                             span.sim(42);\n}";
         let r = lint_one("crates/sim/src/x.rs", instrumented);
         assert!(rules_of(&r).is_empty(), "{:?}", r.findings);

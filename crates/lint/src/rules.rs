@@ -7,14 +7,13 @@
 //! its design contract (no-op when disabled, never feeding sim state)
 //! is proven by its own tests. That exemption is what makes the span
 //! API lintable: a deterministic crate instruments itself through
-//! `sink.span(..)` / guard `.child(..)` / `sink.subspan(..)`, and every
-//! `Instant::now()` those imply — including the one taken when a
-//! `SpanGuard` drops — executes inside `pwnd-telemetry`, never at the
-//! call site. Span call sites therefore need no `lint:allow`; a literal
-//! clock read in a deterministic crate is still a finding. The `tests/`
-//! and `examples/` trees are test context and are skipped by every
-//! non-meta rule; the linter itself is a tool and may touch the
-//! filesystem.
+//! `sink.span(name, labels)`, and every `Instant::now()` that implies —
+//! including the one taken when a `SpanGuard` drops — executes inside
+//! `pwnd-telemetry`, never at the call site. Span call sites therefore
+//! need no `lint:allow`; a literal clock read in a deterministic crate
+//! is still a finding. The `tests/` and `examples/` trees are test
+//! context and are skipped by every non-meta rule; the linter itself is
+//! a tool and may touch the filesystem.
 
 /// Metadata for one rule.
 #[derive(Clone, Copy, Debug)]

@@ -179,7 +179,7 @@ impl Scraper {
             // First attempts ride the sweep-level "poll" span; every
             // fault-driven repeat gets its own "retry" attribution span
             // (covering the backoff arithmetic at the bottom too).
-            let _retry = (attempt > 0).then(|| self.telemetry.subspan("retry", &[]));
+            let _retry = (attempt > 0).then(|| self.telemetry.span("retry", &[]));
             // A scraper-side flake (driver timeout, dropped connection)
             // means the login never reached the provider.
             let transient = if self.fault_plan.login_flakes(account.0, t, attempt) {
@@ -201,7 +201,7 @@ impl Scraper {
                         if attempt > 0 {
                             self.telemetry.observe("scraper.retries", attempt as u64);
                         }
-                        let _classify = self.telemetry.subspan("classify", &[]);
+                        let _classify = self.telemetry.span("classify", &[]);
                         return self.note_hard_failure(account, HardFailure::Hijack, t);
                     }
                     Err(LoginError::AccountBlocked) | Err(LoginError::SuspiciousLogin) => {
@@ -212,7 +212,7 @@ impl Scraper {
                         if attempt > 0 {
                             self.telemetry.observe("scraper.retries", attempt as u64);
                         }
-                        let _classify = self.telemetry.subspan("classify", &[]);
+                        let _classify = self.telemetry.span("classify", &[]);
                         return self.note_hard_failure(account, HardFailure::Blocked, t);
                     }
                 }
@@ -263,7 +263,7 @@ impl Scraper {
         self.cookies.insert(account, cookie);
         // "parse" covers reading the activity page and digesting it
         // (fingerprint, dedupe, dump) — the per-account unit of work.
-        let _parse = self.telemetry.subspan("parse", &[]);
+        let _parse = self.telemetry.span("parse", &[]);
         // A fresh session always reads its own page in a healthy
         // service; under fault injection the session may already be torn
         // down, which the retry loop should treat as a transient flake.
@@ -354,7 +354,7 @@ impl Scraper {
         // One "poll" span per sweep: the poll operation is one pass
         // over the whole account population. Its children attribute
         // the per-account work (parse, retry, classify).
-        let _poll = self.telemetry.subspan("poll", &[]);
+        let _poll = self.telemetry.span("poll", &[]);
         if self.fault_plan.scraper_outage_at(at) {
             self.telemetry
                 .count_labeled("faults.injected", "scraper_outage");

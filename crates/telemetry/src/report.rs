@@ -2,17 +2,27 @@
 
 use crate::json::Json;
 use crate::metrics::{Histogram, MetricsSnapshot};
-use crate::profile::PhaseSummary;
-use crate::spantree::SpanTreeSnapshot;
+use crate::spantree::{SpanAttribution, SpanTreeSnapshot};
 use crate::table::Table;
 use crate::trace::TraceEvent;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+/// Wall-clock totals for one phase: a root of the span tree.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PhaseSummary {
+    /// Phase name (`"corpus"`, `"event-loop"`, …), the root's path.
+    pub name: String,
+    /// Accumulated wall time across entries.
+    pub total: Duration,
+    /// Number of spans folded in.
+    pub entries: u32,
+}
+
 /// Everything a sink recorded, frozen at one instant.
 ///
-/// Equality compares metrics and trace only — phase timings and span
-/// durations are wall clock and differ between identical runs by
+/// Equality compares metrics and trace only — span durations (and so
+/// phase timings) are wall clock and differ between identical runs by
 /// construction. (The span tree's deterministic *structure* can be
 /// compared via [`SpanTreeSnapshot::structure`].)
 #[derive(Clone, Debug, Default)]
@@ -23,7 +33,8 @@ pub struct TelemetryReport {
     pub trace: Vec<TraceEvent>,
     /// Trace events evicted because the ring was full.
     pub trace_dropped: u64,
-    /// Wall-clock phase totals, first-entry order.
+    /// The span tree's roots as phases, sorted by name. Derived from
+    /// `spans` by [`TelemetryReport::new`].
     pub phases: Vec<PhaseSummary>,
     /// Hierarchical span aggregate, sorted by path.
     pub spans: SpanTreeSnapshot,
@@ -40,10 +51,6 @@ impl PartialEq for TelemetryReport {
 /// Render a duration the way the profile tables do: seconds above 1s,
 /// milliseconds above 1ms, whole microseconds below.
 pub fn format_duration(d: Duration) -> String {
-    fmt_duration(d)
-}
-
-fn fmt_duration(d: Duration) -> String {
     let secs = d.as_secs_f64();
     if secs >= 1.0 {
         format!("{secs:.2}s")
@@ -55,6 +62,33 @@ fn fmt_duration(d: Duration) -> String {
 }
 
 impl TelemetryReport {
+    /// Assemble a report, deriving its phases from the span tree's
+    /// roots: one phase per root node, with the node's total and count.
+    pub fn new(
+        metrics: MetricsSnapshot,
+        trace: Vec<TraceEvent>,
+        trace_dropped: u64,
+        spans: SpanTreeSnapshot,
+    ) -> TelemetryReport {
+        let phases = spans
+            .nodes
+            .iter()
+            .filter(|n| n.parent_path().is_none())
+            .map(|n| PhaseSummary {
+                name: n.path.clone(),
+                total: n.total,
+                entries: u32::try_from(n.count).unwrap_or(u32::MAX),
+            })
+            .collect();
+        TelemetryReport {
+            metrics,
+            trace,
+            trace_dropped,
+            phases,
+            spans,
+        }
+    }
+
     /// Sum of all counter series with base name `name` (see
     /// [`MetricsSnapshot::counter`]).
     pub fn counter(&self, name: &str) -> u64 {
@@ -69,12 +103,9 @@ impl TelemetryReport {
     ///   input's trace is already time-ordered, so a stable k-way merge
     ///   keyed on sim time with the submission index as tie-break gives
     ///   one canonical stream, independent of which thread ran what;
-    /// * **phases** accumulate by name, ordered by first appearance
-    ///   scanning inputs in submission order (phase *totals* are wall
-    ///   clock and excluded from report equality, as always);
     /// * **span trees** fold by path — totals and counts add, sim
     ///   ranges widen — an order-free, associative combinator like the
-    ///   metric merges.
+    ///   metric merges; the phases are the merged tree's roots.
     ///
     /// Because every rule depends only on the inputs and their submission
     /// order — never on thread scheduling — the merged report for a batch
@@ -82,14 +113,10 @@ impl TelemetryReport {
     pub fn merge(reports: &[TelemetryReport]) -> TelemetryReport {
         let mut metrics = MetricsSnapshot::default();
         let mut trace_dropped = 0u64;
-        let mut profiler = crate::profile::Profiler::default();
         let mut spans = SpanTreeSnapshot::default();
         for r in reports {
             metrics.merge_from(&r.metrics);
             trace_dropped += r.trace_dropped;
-            for p in &r.phases {
-                profiler.record_entries(&p.name, p.total, p.entries);
-            }
             spans.merge_from(&r.spans);
         }
         // Stable k-way interleave: tag with (t_secs, input index) and
@@ -101,31 +128,18 @@ impl TelemetryReport {
             }
         }
         tagged.sort_by_key(|&(t, i, _)| (t, i));
-        TelemetryReport {
+        TelemetryReport::new(
             metrics,
-            trace: tagged.into_iter().map(|(_, _, e)| e.clone()).collect(),
+            tagged.into_iter().map(|(_, _, e)| e.clone()).collect(),
             trace_dropped,
-            phases: profiler.summaries(),
             spans,
-        }
+        )
     }
 
-    /// Wall time of the outermost phases. A phase opened inside another
-    /// (`scrape` inside `event-loop`) is already part of its parent's
-    /// time, so only span-tree roots count — or every phase when no
-    /// span tree was recorded.
-    fn phase_total(&self) -> Duration {
-        self.phases
-            .iter()
-            .filter(|p| self.spans.is_empty() || self.spans.node(&p.name).is_some())
-            .map(|p| p.total)
-            .sum()
-    }
-
-    /// The phase-time table (`--profile` output). Nested phases are
-    /// listed too; the total and the share column count roots only.
+    /// The phase-time table (`--profile` output): one row per phase,
+    /// each with its share of the phases' summed wall time.
     pub fn phase_table(&self) -> String {
-        let total = self.phase_total();
+        let total: Duration = self.phases.iter().map(|p| p.total).sum();
         let mut t = Table::new(&["phase", "wall time", "share", "entries"]).numeric();
         for p in &self.phases {
             let share = if total.is_zero() {
@@ -135,14 +149,14 @@ impl TelemetryReport {
             };
             t.row([
                 p.name.clone(),
-                fmt_duration(p.total),
+                format_duration(p.total),
                 format!("{share:.1}%"),
                 p.entries.to_string(),
             ]);
         }
         t.row([
             "total".to_string(),
-            fmt_duration(total),
+            format_duration(total),
             String::new(),
             String::new(),
         ]);
@@ -190,19 +204,20 @@ impl TelemetryReport {
     }
 
     /// The per-phase attribution breakdown (`pwnd profile` output):
-    /// for each flat phase that appears in the span tree, how much of
-    /// its wall time named child spans account for.
+    /// for each phase, how much of its wall time named child spans
+    /// account for.
     pub fn attribution_table(&self) -> String {
         let mut t = Table::new(&["phase", "total", "attributed", "self", "coverage"]).numeric();
         for p in &self.phases {
-            let Some(attr) = self.spans.attribution(&p.name) else {
-                continue;
+            let attr = SpanAttribution {
+                total: p.total,
+                children: self.spans.children_total(&p.name),
             };
             t.row([
                 p.name.clone(),
-                fmt_duration(attr.total),
-                fmt_duration(attr.children),
-                fmt_duration(attr.total.saturating_sub(attr.children)),
+                format_duration(attr.total),
+                format_duration(attr.children),
+                format_duration(attr.total.saturating_sub(attr.children)),
                 format!("{:.1}%", 100.0 * attr.coverage()),
             ]);
         }
@@ -261,21 +276,6 @@ impl TelemetryReport {
                 Json::Arr(self.trace.iter().map(TraceEvent::to_json).collect()),
             ),
             ("trace_dropped".to_string(), Json::U(self.trace_dropped)),
-            (
-                "phases".to_string(),
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("name".to_string(), Json::Str(p.name.clone())),
-                                ("total_ns".to_string(), Json::U(p.total.as_nanos() as u64)),
-                                ("entries".to_string(), Json::U(u64::from(p.entries))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             ("spans".to_string(), self.spans.to_json()),
         ])
     }
@@ -288,7 +288,9 @@ impl TelemetryReport {
 
     /// Parse a [`to_json`](TelemetryReport::to_json) value back into a
     /// report. Round trip is exact: the reparsed report is `==` the
-    /// original and has the same phases and span tree.
+    /// original and has the same phases and span tree. A `"phases"` key
+    /// (written by older versions) is ignored: phases always come from
+    /// the span tree.
     pub fn from_json(json: &Json) -> Result<TelemetryReport, String> {
         let metric_map = |field: &str| -> Result<BTreeMap<String, u64>, String> {
             match json.get(field) {
@@ -345,45 +347,22 @@ impl TelemetryReport {
                 trace.push(TraceEvent::from_json(e)?);
             }
         }
-        let mut phases = Vec::new();
-        if let Some(arr) = json.get("phases").and_then(Json::as_array) {
-            for p in arr {
-                phases.push(PhaseSummary {
-                    name: p
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("phase: missing name")?
-                        .to_string(),
-                    total: Duration::from_nanos(
-                        p.get("total_ns")
-                            .and_then(Json::as_u64)
-                            .ok_or("phase: missing total_ns")?,
-                    ),
-                    entries: p
-                        .get("entries")
-                        .and_then(Json::as_u64)
-                        .ok_or("phase: missing entries")? as u32,
-                });
-            }
-        }
         let spans = match json.get("spans") {
             Some(s) => SpanTreeSnapshot::from_json(s)?,
             None => SpanTreeSnapshot::default(),
         };
-        Ok(TelemetryReport {
-            metrics: MetricsSnapshot {
+        Ok(TelemetryReport::new(
+            MetricsSnapshot {
                 counters: metric_map("counters")?,
                 gauges: metric_map("gauges")?,
                 histograms,
             },
             trace,
-            trace_dropped: json
-                .get("trace_dropped")
+            json.get("trace_dropped")
                 .and_then(Json::as_u64)
                 .unwrap_or(0),
-            phases,
             spans,
-        })
+        ))
     }
 
     /// Parse one streamed JSONL line back into a report.
@@ -420,7 +399,7 @@ mod tests {
         let b = TelemetrySink::enabled();
         a.count("x");
         b.count("x");
-        drop(a.span("corpus"));
+        drop(a.span("corpus", &[]));
         assert_eq!(a.report(), b.report());
     }
 
@@ -428,15 +407,15 @@ mod tests {
     fn phase_total_counts_nested_phases_once() {
         let sink = TelemetrySink::enabled();
         {
-            let _outer = sink.span("outer");
-            drop(sink.span("inner"));
+            let _outer = sink.span("outer", &[]);
+            drop(sink.span("inner", &[]));
         }
         let report = sink.report();
-        let outer = report.phases.iter().find(|p| p.name == "outer").unwrap();
-        assert_eq!(report.phases.len(), 2);
-        assert_eq!(report.phase_total(), outer.total);
+        assert_eq!(report.phases.len(), 1, "only the root is a phase");
+        let outer = &report.phases[0];
         let table = report.phase_table();
-        assert!(table.contains("inner"), "nested phases are still listed");
+        assert!(!table.contains("inner"), "nested spans are not phase rows");
+        assert!(table.contains("100.0%"));
         let total_row = table.lines().find(|l| l.starts_with("total")).unwrap();
         assert!(total_row.contains(&format_duration(outer.total)));
     }
@@ -447,7 +426,7 @@ mod tests {
         sink.count_labeled("webmail.logins", "ok");
         sink.gauge_max("queue.depth_high_water", 12);
         sink.observe("security.risk_score_milli", 400);
-        drop(sink.span("event-loop"));
+        drop(sink.span("event-loop", &[]));
         sink.trace(5, "login", Some(1));
         let text = sink.report().render();
         assert!(text.contains("event-loop"));
@@ -467,18 +446,18 @@ mod tests {
         a.trace(30, "login", Some(1));
         b.trace(10, "scrape", None);
         b.trace(20, "scrape", None);
-        drop(a.span("event-loop"));
-        drop(b.span("event-loop"));
-        drop(b.span("dataset"));
+        drop(a.span("event-loop", &[]));
+        drop(b.span("event-loop", &[]));
+        drop(b.span("dataset", &[]));
         let merged = TelemetryReport::merge(&[a.report(), b.report()]);
         assert_eq!(merged.counter("runs"), 2);
         // Interleaved by time; input 0 wins the t=10 tie.
         let kinds: Vec<&str> = merged.trace.iter().map(|e| e.kind.as_ref()).collect();
         assert_eq!(kinds, vec!["login", "scrape", "scrape", "login"]);
-        // Phases accumulate by name in first-appearance order.
+        // Phases are the merged tree's roots, sorted by name.
         let names: Vec<&str> = merged.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["event-loop", "dataset"]);
-        assert_eq!(merged.phases[0].entries, 2);
+        assert_eq!(names, vec!["dataset", "event-loop"]);
+        assert_eq!(merged.phases[1].entries, 2);
         // Merging is submission-order-deterministic: same inputs, same
         // report (equality ignores wall-clock phases).
         let again = TelemetryReport::merge(&[a.report(), b.report()]);
@@ -490,11 +469,11 @@ mod tests {
         let a = TelemetrySink::enabled();
         let b = TelemetrySink::enabled();
         for sink in [&a, &b] {
-            let outer = sink.span("event-loop");
-            drop(outer.child("event", &[("kind", "visit")]));
+            let outer = sink.span("event-loop", &[]);
+            drop(sink.span("event", &[("kind", "visit")]));
             drop(outer);
         }
-        drop(b.span("dataset"));
+        drop(b.span("dataset", &[]));
         let merged = TelemetryReport::merge(&[a.report(), b.report()]);
         let paths: Vec<&str> = merged.spans.nodes.iter().map(|n| n.path.as_str()).collect();
         assert_eq!(
@@ -514,9 +493,9 @@ mod tests {
         sink.trace(5, "login", Some(1));
         sink.trace_with(9, "sale", None, || "wave=1".to_string());
         {
-            let outer = sink.span("event-loop");
+            let outer = sink.span("event-loop", &[]);
             outer.sim(5);
-            drop(outer.child("event", &[("kind", "visit")]));
+            drop(sink.span("event", &[("kind", "visit")]));
         }
         let report = sink.report();
         let line = report.to_json_line();
@@ -530,11 +509,26 @@ mod tests {
     }
 
     #[test]
+    fn from_json_derives_phases_from_spans_not_a_stale_phases_key() {
+        let line = r#"{"schema":"pwnd-telemetry/1","phases":[{"name":"scrape","total_ns":9,"entries":7}],"spans":[{"path":"event-loop","total_ns":50,"count":1},{"path":"event-loop;scrape","total_ns":40,"count":3}]}"#;
+        let report = TelemetryReport::from_json_line(line).unwrap();
+        assert_eq!(
+            report.phases,
+            vec![PhaseSummary {
+                name: "event-loop".to_string(),
+                total: Duration::from_nanos(50),
+                entries: 1,
+            }]
+        );
+        assert!(!report.to_json_line().contains("\"phases\""));
+    }
+
+    #[test]
     fn attribution_table_reports_child_coverage() {
         let sink = TelemetrySink::enabled();
         {
-            let outer = sink.span("event-loop");
-            drop(outer.child("event", &[("kind", "visit")]));
+            let _outer = sink.span("event-loop", &[]);
+            drop(sink.span("event", &[("kind", "visit")]));
         }
         let text = sink.report().attribution_table();
         assert!(text.contains("event-loop"));
@@ -543,8 +537,8 @@ mod tests {
 
     #[test]
     fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
-        assert_eq!(fmt_duration(Duration::from_millis(15)), "15.00ms");
-        assert_eq!(fmt_duration(Duration::from_micros(120)), "120µs");
+        assert_eq!(format_duration(Duration::from_secs(2)), "2.00s");
+        assert_eq!(format_duration(Duration::from_millis(15)), "15.00ms");
+        assert_eq!(format_duration(Duration::from_micros(120)), "120µs");
     }
 }

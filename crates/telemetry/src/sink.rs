@@ -5,22 +5,17 @@
 //! every recording call is a single branch. An enabled sink shares one
 //! `Arc<Mutex<…>>` across every subsystem of a run, so the webmail
 //! service, the scraper, the leak outlets, and the event queue all feed
-//! the same registry, trace, profiler, and span tree.
+//! the same registry, trace, and span tree.
 //!
 //! ## Spans
 //!
-//! [`span`](TelemetrySink::span) opens a **phase span**: its wall time
-//! is folded both into the flat phase profiler (keeping `--profile`
-//! output stable) and into the hierarchical
-//! [`SpanTree`] at the current nesting
-//! depth. [`subspan`](TelemetrySink::subspan) and
-//! [`SpanGuard::child`] open **attribution spans** that only feed the
-//! tree, so sub-phase detail never perturbs the legacy phase table.
-//! Guards keep a per-sink stack of open spans; a span opened while
-//! another is live becomes its child in the tree.
+//! [`span`](TelemetrySink::span) is the one way to time anything: it
+//! opens a node of the [`SpanTree`] under the innermost open span, or
+//! at the root when none is open. Guards keep a per-sink stack of open
+//! spans, so a span opened while another is live becomes its child.
+//! The report's phases are the tree's roots.
 
 use crate::metrics::Registry;
-use crate::profile::Profiler;
 use crate::report::TelemetryReport;
 use crate::spantree::SpanTree;
 use crate::trace::{TraceBuffer, TraceEvent};
@@ -31,7 +26,6 @@ use std::time::Instant;
 struct Inner {
     metrics: Registry,
     trace: TraceBuffer,
-    profile: Profiler,
     spans: SpanTree,
     stack: Vec<usize>,
 }
@@ -190,44 +184,20 @@ impl TelemetrySink {
         });
     }
 
-    // ---- profiling -----------------------------------------------------
+    // ---- spans ---------------------------------------------------------
 
-    /// Open a wall-clock span for `phase`; the time from now until the
-    /// guard drops is folded into that phase's flat total *and* into
-    /// the span tree at the current nesting depth.
-    pub fn span(&self, phase: &'static str) -> SpanGuard {
+    /// Open a wall-clock span under the innermost open span (or at the
+    /// root if none is open); the time until the guard drops is folded
+    /// into that span-tree node. Label pairs become part of the tree
+    /// path — `span("event", &[("kind", "visit")])` records under
+    /// `…;event{kind=visit}` — and are only formatted when the sink is
+    /// enabled.
+    pub fn span(&self, name: &'static str, labels: &[(&str, &str)]) -> SpanGuard {
         match &self.inner {
             None => SpanGuard::noop(),
             Some(m) => {
                 // Stamp before the bookkeeping so open-path overhead
                 // counts against this span, not its parent's self time.
-                let started = Instant::now();
-                let (node, depth) = {
-                    let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
-                    let parent = i.stack.last().copied();
-                    i.open_span(parent, phase)
-                };
-                SpanGuard {
-                    sink: Some(Arc::clone(m)),
-                    phase: Some(phase),
-                    node,
-                    depth,
-                    started,
-                }
-            }
-        }
-    }
-
-    /// Open an attribution-only span under the innermost open span
-    /// (or at the root if none is open). Label pairs become part of the
-    /// tree path — `subspan("event", &[("kind", "visit")])` records
-    /// under `…;event{kind=visit}` — and are only formatted when the
-    /// sink is enabled. Unlike [`span`](TelemetrySink::span), nothing
-    /// is added to the flat phase profiler.
-    pub fn subspan(&self, name: &'static str, labels: &[(&str, &str)]) -> SpanGuard {
-        match &self.inner {
-            None => SpanGuard::noop(),
-            Some(m) => {
                 let started = Instant::now();
                 let (node, depth) = {
                     let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
@@ -240,7 +210,6 @@ impl TelemetrySink {
                 };
                 SpanGuard {
                     sink: Some(Arc::clone(m)),
-                    phase: None,
                     node,
                     depth,
                     started,
@@ -254,12 +223,13 @@ impl TelemetrySink {
     /// Point-in-time report of everything recorded so far. Empty for a
     /// disabled sink.
     pub fn report(&self) -> TelemetryReport {
-        self.with(|i| TelemetryReport {
-            metrics: i.metrics.snapshot(),
-            trace: i.trace.snapshot(),
-            trace_dropped: i.trace.dropped(),
-            phases: i.profile.summaries(),
-            spans: i.spans.snapshot(),
+        self.with(|i| {
+            TelemetryReport::new(
+                i.metrics.snapshot(),
+                i.trace.snapshot(),
+                i.trace.dropped(),
+                i.spans.snapshot(),
+            )
         })
         .unwrap_or_default()
     }
@@ -270,15 +240,11 @@ impl TelemetrySink {
     }
 }
 
-/// RAII guard for one profiling span (see [`TelemetrySink::span`],
-/// [`TelemetrySink::subspan`], and [`SpanGuard::child`]).
-#[must_use = "a span guard records its phase when dropped"]
+/// RAII guard for one span (see [`TelemetrySink::span`]).
+#[must_use = "a span guard records its span when dropped"]
 #[derive(Debug)]
 pub struct SpanGuard {
     sink: Option<Arc<Mutex<Inner>>>,
-    /// Flat-profiler phase to credit on drop; `None` for tree-only
-    /// attribution spans.
-    phase: Option<&'static str>,
     node: usize,
     depth: usize,
     started: Instant,
@@ -288,53 +254,23 @@ impl SpanGuard {
     fn noop() -> SpanGuard {
         SpanGuard {
             sink: None,
-            phase: None,
             node: 0,
             depth: 0,
             started: Instant::now(),
         }
     }
 
-    /// Open an attribution-only span as an explicit child of this one,
-    /// independent of whatever else is on the span stack. Labels join
-    /// the tree path exactly as in [`TelemetrySink::subspan`].
-    pub fn child(&self, name: &'static str, labels: &[(&str, &str)]) -> SpanGuard {
-        match &self.sink {
-            None => SpanGuard::noop(),
-            Some(m) => {
-                let started = Instant::now();
-                let (node, depth) = {
-                    let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
-                    if labels.is_empty() {
-                        i.open_span(Some(self.node), name)
-                    } else {
-                        i.open_span(Some(self.node), &labeled_name(name, labels))
-                    }
-                };
-                SpanGuard {
-                    sink: Some(Arc::clone(m)),
-                    phase: None,
-                    node,
-                    depth,
-                    started,
-                }
-            }
-        }
-    }
-
     /// Annotate this span (and every currently open ancestor) with a
-    /// simulation timestamp, widening their sim-time ranges. Root
-    /// phase spans that saw sim time emit one deterministic `span`
-    /// trace event when they drop.
+    /// simulation timestamp, widening their sim-time ranges. Root spans
+    /// that saw sim time emit one deterministic `span` trace event when
+    /// they drop.
     pub fn sim(&self, at_secs: u64) {
         if let Some(m) = &self.sink {
             let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
-            i.spans.annotate_sim(self.node, at_secs);
-            let open: Vec<usize> = i.stack.to_vec();
-            for idx in open {
-                if idx != self.node {
-                    i.spans.annotate_sim(idx, at_secs);
-                }
+            let Inner { spans, stack, .. } = &mut *i;
+            spans.annotate_sim(self.node, at_secs);
+            for &idx in stack.iter().filter(|&&idx| idx != self.node) {
+                spans.annotate_sim(idx, at_secs);
             }
         }
     }
@@ -350,12 +286,9 @@ impl Drop for SpanGuard {
             // above this span's depth is closed with it.
             i.stack.truncate(self.depth);
             i.spans.record(self.node, elapsed);
-            if let Some(phase) = self.phase {
-                i.profile.record(phase, elapsed);
-            }
             // Only the deterministic facets reach the trace ring:
             // the path and the sim-time range, never wall clock.
-            if self.depth == 0 && self.phase.is_some() {
+            if self.depth == 0 {
                 if let Some((min, max)) = i.spans.sim_range(self.node) {
                     let path = i.spans.path_of(self.node);
                     i.trace.push(TraceEvent {
@@ -385,12 +318,11 @@ mod tests {
             "detail".to_string()
         });
         assert!(!evaluated, "detail closure must not run when disabled");
-        let guard = sink.span("event-loop");
-        let child = guard.child("event", &[("kind", "visit")]);
+        let guard = sink.span("event-loop", &[]);
+        let child = sink.span("event", &[("kind", "visit")]);
         child.sim(10);
         drop(child);
         drop(guard);
-        drop(sink.subspan("poll", &[]));
         let report = sink.report();
         assert!(report.metrics.counters.is_empty());
         assert!(report.trace.is_empty());
@@ -412,40 +344,58 @@ mod tests {
     #[test]
     fn spans_accumulate_phases() {
         let sink = TelemetrySink::enabled();
-        {
-            let _outer = sink.span("event-loop");
-            let _inner = sink.span("scrape");
-        }
-        {
-            let _again = sink.span("scrape");
-        }
+        drop(sink.span("scrape", &[]));
+        drop(sink.span("event-loop", &[]));
+        drop(sink.span("scrape", &[]));
         let report = sink.report();
         let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["scrape", "event-loop"]);
-        assert_eq!(report.phases[0].entries, 2);
-        // The tree keeps the two scrape contexts apart.
-        let paths: Vec<&str> = report.spans.nodes.iter().map(|n| n.path.as_str()).collect();
-        assert_eq!(paths, vec!["event-loop", "event-loop;scrape", "scrape"]);
+        assert_eq!(names, vec!["event-loop", "scrape"], "sorted by name");
+        assert_eq!(report.phases[1].entries, 2);
     }
 
     #[test]
-    fn nesting_builds_paths_and_subspans_stay_out_of_phases() {
+    fn phases_are_the_span_tree_roots() {
+        let sink = TelemetrySink::enabled();
+        for _ in 0..3 {
+            let _outer = sink.span("event-loop", &[]);
+            drop(sink.span("scrape", &[]));
+        }
+        drop(sink.span("dataset", &[]));
+        let report = sink.report();
+        let paths: Vec<&str> = report.spans.nodes.iter().map(|n| n.path.as_str()).collect();
+        assert_eq!(paths, vec!["dataset", "event-loop", "event-loop;scrape"]);
+        let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            vec!["dataset", "event-loop"],
+            "nested scrape is no phase"
+        );
+        for p in &report.phases {
+            let root = report.spans.node(&p.name).unwrap();
+            assert_eq!(p.total, root.total);
+            assert_eq!(u64::from(p.entries), root.count);
+        }
+        assert_eq!(report.phases[1].entries, 3);
+    }
+
+    #[test]
+    fn nesting_builds_paths_and_children_stay_out_of_phases() {
         let sink = TelemetrySink::enabled();
         {
-            let loop_span = sink.span("event-loop");
+            let loop_span = sink.span("event-loop", &[]);
             {
-                let ev = loop_span.child("event", &[("kind", "visit"), ("class", "Curious")]);
+                let ev = sink.span("event", &[("kind", "visit"), ("class", "Curious")]);
                 ev.sim(120);
                 drop(ev);
             }
             {
-                let _ev = sink.subspan("event", &[("kind", "scrape")]);
+                let _ev = sink.span("event", &[("kind", "scrape")]);
             }
             loop_span.sim(240);
         }
         let report = sink.report();
         let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["event-loop"], "subspans must not add phases");
+        assert_eq!(names, vec!["event-loop"], "child spans must not add phases");
         let paths: Vec<&str> = report.spans.nodes.iter().map(|n| n.path.as_str()).collect();
         assert_eq!(
             paths,
@@ -458,8 +408,8 @@ mod tests {
         // `sim` on the child annotated the open ancestor too.
         let root = report.spans.node("event-loop").unwrap();
         assert_eq!((root.sim_min, root.sim_max), (Some(120), Some(240)));
-        // A sim-annotated root phase span leaves one deterministic
-        // trace event: path + sim range, no wall clock.
+        // A sim-annotated root span leaves one deterministic trace
+        // event: path + sim range, no wall clock.
         assert_eq!(report.trace.len(), 1);
         assert_eq!(report.trace[0].kind, "span");
         assert_eq!(report.trace[0].at_secs, 240);
@@ -467,9 +417,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_label_subspan_renders_all_pairs() {
+    fn multi_label_span_renders_all_pairs() {
         let sink = TelemetrySink::enabled();
-        drop(sink.subspan("event", &[("kind", "visit"), ("class", "Gold Digger")]));
+        drop(sink.span("event", &[("kind", "visit"), ("class", "Gold Digger")]));
         let report = sink.report();
         assert_eq!(
             report.spans.nodes[0].path,

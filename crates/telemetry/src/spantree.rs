@@ -1,15 +1,14 @@
 //! Hierarchical span aggregation: where the wall clock actually went.
 //!
-//! The flat phase profiler ([`crate::profile`]) answers *"how long did
-//! the event loop take?"*; the span tree answers *"and which event
-//! kinds inside it?"*. Every [`SpanGuard`](crate::sink::SpanGuard)
-//! opened while another guard is live becomes a **child** of that
-//! guard's node, so a run builds an aggregate tree keyed by path —
+//! The span tree answers both *"how long did the event loop take?"*
+//! (its roots are the report's phases) and *"and which event kinds
+//! inside it?"*. Every [`SpanGuard`](crate::sink::SpanGuard) opened
+//! while another guard is live becomes a **child** of that guard's
+//! node, so a run builds an aggregate tree keyed by path —
 //! `event-loop;event{kind=visit,class=Curious}` — with per-path wall
 //! time, entry count, and the sim-time range the span covered.
 //!
-//! Wall-clock totals live *only* here and in the profiler, never in the
-//! trace ring, so two identical runs still produce equal
+//! Wall-clock totals live *only* here, never in the trace ring, so two identical runs still produce equal
 //! [`TelemetryReport`](crate::report::TelemetryReport)s: report
 //! equality compares the deterministic facets (metrics, trace) and the
 //! span tree's *structure* is deterministic too ([`SpanTreeSnapshot::structure`]).

@@ -5,12 +5,12 @@
 //! order-free facets — counters, gauges, histograms, and span trees —
 //! so sharded fleet telemetry can be folded in any order.
 //!
-//! Traces and the first-appearance ordering of phases are deliberately
-//! submission-order-sensitive, so the permutation property compares
-//! metrics and spans, and phases as a name-keyed set.
+//! Traces are deliberately submission-order-sensitive, so the
+//! permutation property compares metrics, spans, and the phases derived
+//! from the spans.
 
 use proptest::prelude::*;
-use pwnd_telemetry::{PhaseSummary, TelemetryReport, TelemetrySink};
+use pwnd_telemetry::{TelemetryReport, TelemetrySink};
 
 /// Deterministically interpret `(selector, value)` ops into one report,
 /// exercising every mergeable facet including nested spans.
@@ -28,24 +28,16 @@ fn build_report(ops: &[(u8, u64)]) -> TelemetryReport {
             4 => sink.trace(v % 50, "login", Some((v % 5) as u32)),
             _ => {
                 let phase = if v % 2 == 0 { "event-loop" } else { "scrape" };
-                let outer = sink.span(phase);
+                let outer = sink.span(phase, &[]);
                 outer.sim(v % 100);
                 if v % 3 != 0 {
                     let kind = if v % 4 == 0 { "visit" } else { "scrape" };
-                    drop(outer.child("event", &[("kind", kind)]));
+                    drop(sink.span("event", &[("kind", kind)]));
                 }
             }
         }
     }
     sink.report()
-}
-
-/// Phases as a sorted name-keyed set (ordering is submission-order by
-/// design, so permutation comparisons must drop it).
-fn phase_set(report: &TelemetryReport) -> Vec<PhaseSummary> {
-    let mut phases = report.phases.clone();
-    phases.sort_by(|a, b| a.name.cmp(&b.name));
-    phases
 }
 
 proptest! {
@@ -76,8 +68,7 @@ proptest! {
     }
 
     /// Permuting the inputs leaves every order-free facet unchanged:
-    /// counters, gauges, histograms, span trees, and the name-keyed
-    /// phase totals.
+    /// counters, gauges, histograms, span trees, and the phases.
     #[test]
     fn merge_is_order_insensitive_for_order_free_facets(
         ops in proptest::collection::vec((0u8..6, 0u64..10_000), 0..60),
@@ -92,7 +83,7 @@ proptest! {
         prop_assert_eq!(&fwd.metrics, &rev.metrics);
         prop_assert_eq!(&fwd.spans, &rev.spans);
         prop_assert_eq!(fwd.trace_dropped, rev.trace_dropped);
-        prop_assert_eq!(phase_set(&fwd), phase_set(&rev));
+        prop_assert_eq!(&fwd.phases, &rev.phases);
     }
 
     /// A streamed report survives the JSONL round trip exactly,

@@ -112,7 +112,7 @@ pub fn batch_profile_report(batch: &Batch) -> String {
 // ---- `pwnd profile` and `pwnd trace` rendering ------------------------
 
 /// The `pwnd profile` report: the top-spans table, the per-phase
-/// attribution breakdown, and the flat phase table. `limit` bounds the
+/// attribution breakdown, and the phase table. `limit` bounds the
 /// top-spans rows (0 = all).
 pub fn profile_report(report: &TelemetryReport, limit: usize) -> String {
     let mut out = String::new();
@@ -299,9 +299,9 @@ mod tests {
     fn profile_report_renders_spans_and_attribution() {
         let sink = TelemetrySink::enabled();
         {
-            let outer = sink.span("event-loop");
+            let outer = sink.span("event-loop", &[]);
             outer.sim(42);
-            drop(outer.child("event", &[("kind", "visit")]));
+            drop(sink.span("event", &[("kind", "visit")]));
         }
         let text = profile_report(&sink.report(), 0);
         assert!(text.contains("event-loop;event{kind=visit}"));
@@ -313,7 +313,7 @@ mod tests {
         let shard = |seed: u64| {
             let sink = TelemetrySink::enabled();
             sink.count_by("runs", seed);
-            drop(sink.span("event-loop"));
+            drop(sink.span("event-loop", &[]));
             sink.report()
         };
         let reports = [shard(1), shard(2)];

@@ -76,3 +76,17 @@ fn fleet_store_jsonl_and_stats_body() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The sim-time trace of a telemetry-enabled quick run: every record,
+/// including the root spans' `span` events, carries sim time only.
+#[test]
+fn quick_trace_digest() {
+    let sink = pwnd::telemetry::TelemetrySink::enabled();
+    let _ = Experiment::new(ExperimentConfig::quick(2016))
+        .with_telemetry(sink.clone())
+        .run();
+    assert_eq!(
+        Sha256::digest_hex(sink.trace_jsonl().as_bytes()),
+        "2351268cd2a56d0bc435e2ef720dc64178700157ef21d845c6f327b93def9fa8"
+    );
+}
