@@ -4,9 +4,8 @@
 //!
 //! Pass 1 is deliberately independent of the `--rule` filter and of any
 //! workspace context: its output is a pure function of `(path,
-//! content)`, which is what makes [`crate::cache`] sound. Filtering by
-//! rule id happens in [`lint_models`], on findings the models already
-//! carry.
+//! content)`. Filtering by rule id happens in [`lint_models`], on
+//! findings the models already carry.
 
 use crate::findings::{Finding, LintReport};
 use crate::lexer::{has_segment, Token, TokenKind};
@@ -57,7 +56,7 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 ];
 
 /// Pass 1 for one file: lex, analyze, run the per-file rules, and
-/// distill the result into a cacheable [`FileModel`]. Pure in `(path,
+/// distill the result into a [`FileModel`]. Pure in `(path,
 /// content)` — no rule filter, no workspace context.
 pub fn analyze_file(path: &str, content: &str) -> FileModel {
     let sf = SourceFile::new(path, content);

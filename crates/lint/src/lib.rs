@@ -35,7 +35,6 @@
 //! `lint:allow`; a false negative costs a nondeterministic run that may
 //! go unnoticed for months.
 
-pub mod cache;
 pub mod engine;
 pub mod findings;
 pub mod lexer;
@@ -45,7 +44,7 @@ pub mod rules;
 pub mod source;
 pub mod workspace_rules;
 
-pub use engine::{analyze_file, lint_files, lint_files_with, lint_models, WorkspaceCtx};
+pub use engine::{analyze_file, lint_files, lint_files_with, WorkspaceCtx};
 pub use findings::{Finding, LintReport};
 pub use rules::{RuleMeta, ALL_RULES};
 
@@ -204,50 +203,6 @@ pub fn lint_workspace(root: &Path, only: Option<&BTreeSet<String>>) -> io::Resul
     let files = scan_root(root)?;
     let ctx = load_ctx(root)?;
     Ok(engine::lint_files_with(&files, &ctx, only))
-}
-
-/// Warm-run statistics from [`lint_workspace_cached`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheStats {
-    /// Files whose pass-1 model was replayed from the cache.
-    pub reused: usize,
-    /// Files analyzed cold (changed, new, or cache miss).
-    pub analyzed: usize,
-}
-
-/// [`lint_workspace`] with an incremental cache at `cache_path`: pass-1
-/// models of unchanged files (by content SHA-256) are replayed, changed
-/// files are re-analyzed, and the refreshed cache is written back. The
-/// report is byte-identical to a cold run — the stats never appear in
-/// it.
-pub fn lint_workspace_cached(
-    root: &Path,
-    only: Option<&BTreeSet<String>>,
-    cache_path: &Path,
-) -> io::Result<(LintReport, CacheStats)> {
-    validate_rule_filter(only)?;
-    let files = scan_root(root)?;
-    let ctx = load_ctx(root)?;
-    let old = cache::Cache::load(cache_path);
-    let mut stats = CacheStats::default();
-    let mut entries: Vec<(String, model::FileModel)> = Vec::with_capacity(files.len());
-    for (path, content) in &files {
-        let sha = cache::file_key(content);
-        let m = match old.lookup(path, &sha) {
-            Some(m) => {
-                stats.reused += 1;
-                m.clone()
-            }
-            None => {
-                stats.analyzed += 1;
-                engine::analyze_file(path, content)
-            }
-        };
-        entries.push((sha, m));
-    }
-    cache::Cache::save(cache_path, &entries)?;
-    let models: Vec<model::FileModel> = entries.into_iter().map(|(_, m)| m).collect();
-    Ok((engine::lint_models(&models, &ctx, only), stats))
 }
 
 /// `root`-relative path with forward slashes (the form rule scoping and

@@ -24,10 +24,6 @@ OPTIONS:
     --root DIR        lint the workspace rooted at DIR (default: discovered
                       from the current directory)
     --rule ID         check only this rule (repeatable)
-    --cache PATH      incremental cache file: pass-1 models of files whose
-                      SHA-256 is unchanged are replayed instead of
-                      re-analyzed; the report stays byte-identical to a
-                      cold run (reuse stats go to stderr)
     --list-rules      print every rule id and its contract, then exit
     -h, --help        show this help
 
@@ -44,7 +40,6 @@ struct Args {
     json: bool,
     root: Option<PathBuf>,
     rules: BTreeSet<String>,
-    cache: Option<PathBuf>,
     list_rules: bool,
 }
 
@@ -54,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         root: None,
         rules: BTreeSet::new(),
-        cache: None,
         list_rules: false,
     };
     let mut it = std::env::args().skip(1);
@@ -66,10 +60,6 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 let d = it.next().ok_or("--root needs a directory")?;
                 args.root = Some(PathBuf::from(d));
-            }
-            "--cache" => {
-                let p = it.next().ok_or("--cache needs a file path")?;
-                args.cache = Some(PathBuf::from(p));
             }
             "--rule" => {
                 let r = it.next().ok_or("--rule needs a rule id")?;
@@ -119,29 +109,12 @@ fn main() -> ExitCode {
         }
     };
     let only = (!args.rules.is_empty()).then_some(&args.rules);
-    let report = match &args.cache {
-        Some(cache_path) => match pwnd_lint::lint_workspace_cached(&root, only, cache_path) {
-            Ok((r, stats)) => {
-                eprintln!(
-                    "pwnd-lint: cache {}: {} reused, {} analyzed",
-                    cache_path.display(),
-                    stats.reused,
-                    stats.analyzed
-                );
-                r
-            }
-            Err(e) => {
-                eprintln!("pwnd-lint: scan failed under {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => match pwnd_lint::lint_workspace(&root, only) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("pwnd-lint: scan failed under {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        },
+    let report = match pwnd_lint::lint_workspace(&root, only) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("pwnd-lint: scan failed under {}: {e}", root.display());
+            return ExitCode::from(2);
+        }
     };
     if args.json {
         print!("{}", report.render_json());

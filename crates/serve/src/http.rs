@@ -277,59 +277,36 @@ fn serve_connection(
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
+    // Line buffers live as long as the connection and are reused for
+    // every request line and header.
+    let mut request_line = Vec::new();
+    let mut header = Vec::new();
     loop {
-        let mut request_line = String::new();
-        // Retry partial reads across timeouts: `read_line` keeps the
-        // bytes it already appended, so the line assembles across
-        // timeout boundaries.
-        loop {
-            match reader.read_line(&mut request_line) {
-                Ok(0) => return Ok(()), // peer closed
-                Ok(_) if request_line.ends_with('\n') => break,
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if stop.load(Ordering::Relaxed) {
-                        return Ok(());
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+        if !read_line(&mut reader, &mut request_line, stop)? {
+            return Ok(());
         }
         // Drain headers; we only need Connection.
         let mut keep_alive = true;
         loop {
-            let mut header = String::new();
-            match reader.read_line(&mut header) {
-                Ok(0) => return Ok(()),
-                Ok(_) => {
-                    let h = header.trim();
-                    if h.is_empty() {
-                        break;
-                    }
-                    if let Some(v) = h
-                        .strip_prefix("Connection:")
-                        .or(h.strip_prefix("connection:"))
-                    {
-                        keep_alive = !v.trim().eq_ignore_ascii_case("close");
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if stop.load(Ordering::Relaxed) {
-                        return Ok(());
-                    }
-                }
-                Err(e) => return Err(e),
+            if !read_line(&mut reader, &mut header, stop)? {
+                return Ok(());
+            }
+            let text = String::from_utf8_lossy(&header);
+            let h = text.trim();
+            if h.is_empty() {
+                break;
+            }
+            if let Some(v) = h
+                .strip_prefix("Connection:")
+                .or(h.strip_prefix("connection:"))
+            {
+                keep_alive = !v.trim().eq_ignore_ascii_case("close");
             }
         }
 
         let started = Instant::now();
-        let mut parts = request_line.split_whitespace();
+        let request = String::from_utf8_lossy(&request_line);
+        let mut parts = request.split_whitespace();
         let (method, path) = match (parts.next(), parts.next()) {
             (Some(m), Some(p)) => (m, p),
             _ => {
@@ -370,6 +347,29 @@ fn serve_connection(
         write_response(&mut out, status, reason(status), &body, &extra, keep_alive)?;
         if !keep_alive || stop.load(Ordering::Relaxed) {
             return Ok(());
+        }
+    }
+}
+
+/// Read one `\n`-terminated line into `buf`, replacing what it held.
+/// Bytes that arrive before a read timeout stay in `buf`, so a line
+/// split across pauses reassembles; each timeout checks `stop`.
+/// Returns `false` when the peer closed or shutdown was requested.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>, stop: &AtomicBool) -> io::Result<bool> {
+    buf.clear();
+    loop {
+        match reader.read_until(b'\n', buf) {
+            Ok(0) => return Ok(false),
+            Ok(_) if buf.ends_with(b"\n") => return Ok(true),
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                if stop.load(Ordering::Relaxed) {
+                    return Ok(false);
+                }
+            }
+            Err(e) => return Err(e),
         }
     }
 }

@@ -21,9 +21,9 @@
 //!    keep-alive, token-bucket rate limiting with `Retry-After`, and
 //!    graceful shutdown). See `API.md` at the workspace root for the
 //!    full endpoint reference.
-//! 4. [`loadgen`] hammers a running server with concurrent closed-loop
-//!    clients and reports throughput and latency percentiles — the
-//!    `pwnd serve-bench` workload.
+//!
+//! Load on the daemon is measured from outside, by the `serve_mix`
+//! workload of the standalone `perfbench/` package.
 //!
 //! ## Determinism contract
 //!
@@ -40,12 +40,10 @@
 
 pub mod http;
 pub mod index;
-pub mod loadgen;
 pub mod store;
 
 pub use http::{RateLimit, Route, ServeOptions, Server, ROUTES};
 pub use index::{QueryIndex, StoreMeta};
-pub use loadgen::{LoadgenOptions, LoadgenReport};
 pub use store::{
     shard_file_name, Manifest, ShardEntry, ShardState, VerifiedStore, MANIFEST_FILE,
     MANIFEST_FORMAT,

@@ -12,8 +12,6 @@
 //! pwnd report  --input PATH
 //! pwnd serve   --input DIR [--addr HOST:PORT] [--jobs N] [--rate N] [--profile]
 //! pwnd serve   --print-routes
-//! pwnd serve-bench --input DIR [--clients N] [--requests N] [--jobs N] [--rate N]
-//!              [--min-throughput N] [--json FILE]
 //! pwnd leaks   [--seed N]
 //! pwnd truth   [--seed N]
 //! pwnd lint    [--deny] [--json] [--rule ID]...
@@ -39,8 +37,6 @@ commands:
   report   §4.1 overview of an exported dataset or an on-disk fleet store
   serve    breach-intelligence query daemon: serve the /v1 JSON API over a
            fleet store (see API.md); stops on EOF on stdin
-  serve-bench  load-generate against an in-process daemon over a fleet store
-           and report throughput + latency percentiles
   leaks    the leak plan actually executed
   truth    ground-truth vs observed audit
   lint     run the determinism & invariant linter over the workspace
@@ -58,7 +54,7 @@ flags:
                    (lint) print the lint.findings metrics
   --jobs N         (sweep/chaos/fleet) worker threads (default: all
                    cores); --jobs 1 is the sequential path, output is identical;
-                   (serve/serve-bench) HTTP worker threads (floored at 4),
+                   (serve) HTTP worker threads (floored at 4),
                    which also bound concurrent connections
   --accounts N     (fleet) honey-account population (default 1000), sharded
                    into 100-account sub-experiments
@@ -75,27 +71,20 @@ flags:
   --input PATH     (profile) analyse a streamed --telemetry-out JSONL file
                    offline instead of running an experiment;
                    (report) a fleet store directory or a JSONL dataset file;
-                   (serve/serve-bench) the fleet store directory to serve
+                   (serve) the fleet store directory to serve
   --telemetry-out FILE (fleet) stream one telemetry report line per shard
                    there while the fleet runs (forces telemetry on)
   --seeds N        (sweep) number of seeds (default 8)
   --addr HOST:PORT (serve) listen address (default 127.0.0.1:8080; port 0
                    binds an ephemeral port, printed on startup)
-  --rate N         (serve/serve-bench) token-bucket rate limit: N requests/s
+  --rate N         (serve) token-bucket rate limit: N requests/s
                    sustained with an N-request burst; excess gets 429 with
                    Retry-After (default: unlimited)
   --print-routes   (serve) print the registered /v1 routes and exit
-  --clients N      (serve-bench) concurrent client connections (default 4)
-  --requests N     (serve-bench) total requests across all clients
-                   (default 10000)
-  --min-throughput N (serve-bench) exit nonzero below N requests/s (the CI
-                   floor); 5xx responses always fail the run
   --deny           (lint) exit nonzero when any finding survives suppression
   --rule ID        (lint) check only this rule (repeatable); unknown rule
                    ids are an error, never a silent pass
-  --json           (lint) emit the machine-readable report;
-                   (serve-bench) takes a FILE argument and writes the
-                   JSON report there
+  --json           (lint) emit the machine-readable report
   -h, --help       print this help";
 
 struct Args {
@@ -113,7 +102,6 @@ struct Args {
     faults: Option<FaultProfile>,
     deny: bool,
     json: bool,
-    json_out: Option<String>,
     jobs: usize,
     filter: Option<String>,
     limit: usize,
@@ -124,9 +112,6 @@ struct Args {
     addr: String,
     rate: Option<u32>,
     print_routes: bool,
-    clients: usize,
-    requests: u64,
-    min_throughput: Option<f64>,
 }
 
 enum Cli {
@@ -158,7 +143,6 @@ fn parse(mut argv: std::env::Args) -> Cli {
         faults: None,
         deny: false,
         json: false,
-        json_out: None,
         // lint:allow(lock-discipline): one-shot core-count read for a CLI default; no shared state
         jobs: std::thread::available_parallelism()
             .map(|n| n.get())
@@ -172,9 +156,6 @@ fn parse(mut argv: std::env::Args) -> Cli {
         addr: "127.0.0.1:8080".to_string(),
         rate: None,
         print_routes: false,
-        clients: 4,
-        requests: 10_000,
-        min_throughput: None,
     };
     let rest: Vec<String> = argv.collect();
     let mut i = 0;
@@ -295,27 +276,6 @@ fn parse(mut argv: std::env::Args) -> Cli {
                 args.print_routes = true;
                 i += 1;
             }
-            "--clients" => {
-                let Some(v) = rest.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return Cli::Invalid;
-                };
-                args.clients = v;
-                i += 2;
-            }
-            "--requests" => {
-                let Some(v) = rest.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return Cli::Invalid;
-                };
-                args.requests = v;
-                i += 2;
-            }
-            "--min-throughput" => {
-                let Some(v) = rest.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return Cli::Invalid;
-                };
-                args.min_throughput = Some(v);
-                i += 2;
-            }
             "--quick" => {
                 args.quick = true;
                 i += 1;
@@ -351,18 +311,8 @@ fn parse(mut argv: std::env::Args) -> Cli {
                 i += 2;
             }
             "--json" => {
-                // For serve-bench, --json names the output file;
-                // everywhere else it is a boolean switch.
-                if command == "serve-bench" {
-                    let Some(v) = rest.get(i + 1) else {
-                        return Cli::Invalid;
-                    };
-                    args.json_out = Some(v.clone());
-                    i += 2;
-                } else {
-                    args.json = true;
-                    i += 1;
-                }
+                args.json = true;
+                i += 1;
             }
             other => {
                 eprintln!("unknown flag: {other}");
@@ -736,81 +686,6 @@ fn main() -> ExitCode {
             eprintln!("pwnd serve: stopped");
             if args.profile {
                 println!("{}", sink.report().render());
-            }
-        }
-        "serve-bench" => {
-            // Hammer an in-process daemon over the store and report
-            // throughput + latency percentiles (the BENCH trajectory's
-            // serving numbers).
-            let Some(input) = &args.input else {
-                eprintln!("pwnd serve-bench: --input DIR is required (a fleet store directory)");
-                return ExitCode::FAILURE;
-            };
-            let index = match pwnd::serve::QueryIndex::from_store(std::path::Path::new(input)) {
-                Ok(idx) => std::sync::Arc::new(idx),
-                Err(e) => {
-                    eprintln!("pwnd serve-bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let opts = pwnd::serve::ServeOptions {
-                // Every closed-loop client pins a worker for the whole
-                // run, so the pool must cover them all.
-                threads: args.jobs.clamp(4, 64).max(args.clients),
-                rate: args.rate.map(pwnd::serve::RateLimit::per_second),
-                telemetry: TelemetrySink::disabled(),
-            };
-            let server = match pwnd::serve::Server::bind("127.0.0.1:0", index.clone(), opts) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("pwnd serve-bench: cannot bind: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mix = pwnd::serve::loadgen::query_mix(&index, 16);
-            let result = pwnd::serve::loadgen::run(
-                server.addr(),
-                &mix,
-                &pwnd::serve::LoadgenOptions {
-                    clients: args.clients,
-                    requests: args.requests,
-                },
-            );
-            server.shutdown();
-            let report = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("pwnd serve-bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            print!("{}", report.table().render());
-            if let Some(path) = &args.json_out {
-                if std::fs::write(path, report.to_json()).is_err() {
-                    eprintln!("cannot write {path}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote {path}");
-            }
-            if report.server_errors > 0 {
-                eprintln!(
-                    "pwnd serve-bench: {} server error(s) (5xx) — failing",
-                    report.server_errors
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Some(floor) = args.min_throughput {
-                if report.throughput_rps < floor {
-                    eprintln!(
-                        "pwnd serve-bench: throughput {:.0} req/s is below the {floor:.0} req/s floor",
-                        report.throughput_rps
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "pwnd serve-bench: {:.0} req/s clears the {floor:.0} req/s floor",
-                    report.throughput_rps
-                );
             }
         }
         "leaks" => {

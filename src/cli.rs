@@ -173,16 +173,13 @@ pub fn filtered_trace_jsonl(
 /// Validate the batch-execution flags for the multi-run commands.
 ///
 /// `fleet`, `sweep`, and `chaos` all submit work to the parallel
-/// runner, and `serve`/`serve-bench` size a worker-thread pool; zero
+/// runner, and `serve` sizes a worker-thread pool; zero
 /// worker threads or a zero-account fleet would otherwise be silently
 /// clamped deep inside the engine. Rejecting them here gives the user
 /// an actionable message instead. Commands outside the batch family
 /// always validate.
 pub fn validate_batch_flags(command: &str, jobs: usize, accounts: u32) -> Result<(), String> {
-    let batch = matches!(
-        command,
-        "fleet" | "sweep" | "chaos" | "serve" | "serve-bench"
-    );
+    let batch = matches!(command, "fleet" | "sweep" | "chaos" | "serve");
     if batch && jobs == 0 {
         return Err(format!(
             "pwnd {command}: --jobs must be at least 1 (zero worker threads cannot run anything)"

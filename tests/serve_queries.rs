@@ -1,18 +1,20 @@
 //! End-to-end tests of the breach-intelligence query daemon (`pwnd
 //! serve`): every versioned endpoint is byte-stable across server
 //! restarts, `/v1/stats` agrees exactly with the offline `pwnd report`
-//! aggregates, concurrent clients never observe a 5xx, and the token
-//! bucket answers overload with `429` + `Retry-After`.
+//! aggregates, concurrent clients never observe a 5xx, a header split
+//! across a read timeout is not lost, and the token bucket answers
+//! overload with `429` + `Retry-After`.
 
 use pwnd::core::fleet::FleetConfig;
-use pwnd::serve::loadgen::{self, LoadgenOptions};
-use pwnd::serve::{QueryIndex, RateLimit, ServeOptions, Server, ROUTES};
+use pwnd::monitor::dataset::Dataset;
+use pwnd::serve::{QueryIndex, RateLimit, ServeOptions, Server, StoreMeta, ROUTES};
 use pwnd::store::{run_fleet_store, store_overview};
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A fresh scratch directory under the system temp dir, unique per
 /// test name so concurrently running tests never collide.
@@ -62,6 +64,33 @@ fn request(server: &Server, method: &str, path: &str) -> Response {
         headers: lines.map(str::to_owned).collect(),
         body: body.to_owned(),
     }
+}
+
+/// Read one response off a keep-alive connection and return its
+/// status, consuming the headers and the `Content-Length` body.
+fn read_status(reader: &mut impl BufRead) -> u16 {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("status line");
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .unwrap_or_else(|| panic!("unparseable status line: {line:?}"));
+    let mut length = 0;
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("header line");
+        let h = line.trim();
+        if h.is_empty() {
+            break;
+        }
+        if let Some(v) = h.strip_prefix("Content-Length:") {
+            length = v.trim().parse().expect("numeric Content-Length");
+        }
+    }
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body).expect("response body");
+    status
 }
 
 fn get(server: &Server, path: &str) -> Response {
@@ -192,17 +221,87 @@ fn concurrent_clients_see_no_server_errors() {
     // for its lifetime, so the pool must be at least as wide.
     let server = spawn(&index, 6);
 
-    let paths = loadgen::query_mix(&index, 8);
-    let opts = LoadgenOptions {
-        clients: 6,
-        requests: 600,
-    };
-    let report = loadgen::run(server.addr(), &paths, &opts).unwrap();
-    assert_eq!(report.server_errors, 0, "statuses: {:?}", report.statuses);
-    assert_eq!(report.statuses.get(&200).copied(), Some(600));
+    // The aggregates, then timeline and accesses of every fifth account
+    // and every fifth range prefix.
+    let mut mix = vec![
+        "/v1/healthz".to_owned(),
+        "/v1/stats".to_owned(),
+        "/v1/outlets".to_owned(),
+    ];
+    for id in index.account_ids().into_iter().step_by(5) {
+        mix.push(format!("/v1/account/{id}/timeline"));
+        mix.push(format!("/v1/account/{id}/accesses"));
+    }
+    for prefix in index.range_prefixes().into_iter().step_by(5) {
+        mix.push(format!("/v1/range/{prefix}"));
+    }
+
+    // Six clients, each issuing 100 requests over one keep-alive
+    // connection and starting at its own offset into the mix.
+    let addr = server.addr();
+    let statuses: Vec<u16> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..6)
+            .map(|c| {
+                let mix = &mix;
+                s.spawn(move || {
+                    let mut out = TcpStream::connect(addr).expect("connect to the daemon");
+                    let mut reader = BufReader::new(out.try_clone().unwrap());
+                    (0..100)
+                        .map(|i| {
+                            let path = &mix[(c + i) % mix.len()];
+                            write!(out, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+                            read_status(&mut reader)
+                        })
+                        .collect::<Vec<u16>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let server_errors = statuses.iter().filter(|&&s| s >= 500).count();
+    assert_eq!(server_errors, 0, "statuses: {statuses:?}");
+    assert_eq!(statuses.iter().filter(|&&s| s == 200).count(), 600);
     server.shutdown();
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn header_split_across_a_read_timeout_is_not_lost() {
+    let index = Arc::new(QueryIndex::from_dataset(
+        &Dataset::default(),
+        StoreMeta::default(),
+    ));
+    let server = spawn(&index, 4);
+
+    // The pause outlasts the daemon's 250 ms read timeout, so the
+    // `Connection: close` header arrives in two reads with a timeout
+    // between them.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nConnec")
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    stream.write_all(b"tion: close\r\n\r\n").unwrap();
+
+    // Honouring the header means answering `Connection: close` and then
+    // closing the socket, which ends `read_to_end` before the timeout.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut raw = Vec::new();
+    let closed = stream.read_to_end(&mut raw);
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
+    assert!(
+        text.contains("\r\nConnection: close\r\n"),
+        "split header was lost:\n{text}"
+    );
+    assert!(closed.is_ok(), "socket still open: {closed:?}");
+    server.shutdown();
 }
 
 #[test]
