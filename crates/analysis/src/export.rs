@@ -179,11 +179,12 @@ pub fn figures_to_csv(analysis: &FullAnalysis) -> Vec<CsvFile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwnd_corpus::tokenize::TermCounts;
     use pwnd_monitor::dataset::Dataset;
 
     #[test]
     fn export_covers_every_figure() {
-        let analysis = FullAnalysis::compute(&Dataset::default(), "", &[], None);
+        let analysis = FullAnalysis::compute(&Dataset::default(), &TermCounts::new(), &[], None);
         let files = figures_to_csv(&analysis);
         let names: Vec<&str> = files.iter().map(|f| f.name.as_str()).collect();
         for expected in [

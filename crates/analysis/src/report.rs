@@ -9,7 +9,7 @@ use crate::figures::{self, CvmOutcome, Fig1, Fig2, Fig3, Fig4Point, Fig5, Fig6Co
 use crate::sophistication::{sophistication, SophisticationRow};
 use crate::tables::{origin_stats, overview, table1, OriginStats, Overview, Table1Row};
 use crate::tfidf::TfidfTable;
-use pwnd_corpus::tokenize::Tokenizer;
+use pwnd_corpus::tokenize::{TermCounts, Tokenizer};
 use pwnd_monitor::dataset::Dataset;
 use pwnd_net::dnsbl::Blacklist;
 use std::fmt::Write as _;
@@ -89,17 +89,21 @@ fn coverage_stats(ds: &Dataset) -> Option<CoverageStats> {
 }
 
 impl FullAnalysis {
-    /// Run the entire pipeline. `corpus_text` is the concatenated text of
-    /// every seeded email (document `d_A`); `extra_stopwords` carries the
-    /// honey handles and monitor markers the paper stripped.
+    /// Run the entire pipeline. `corpus_terms` counts the terms of every
+    /// seeded email (document `d_A`); `extra_stopwords` carries the
+    /// honey handles and monitor markers the paper stripped, and must be
+    /// the list `corpus_terms` was counted with.
     pub fn compute(
         ds: &Dataset,
-        corpus_text: &str,
+        corpus_terms: &TermCounts,
         extra_stopwords: &[String],
         blacklist: Option<&Blacklist>,
     ) -> FullAnalysis {
         let tokenizer = Tokenizer::new().with_extra_stopwords(extra_stopwords.iter());
-        let opened_text = ds.opened_texts.join("\n");
+        let mut opened_terms = TermCounts::new();
+        for text in &ds.opened_texts {
+            tokenizer.count_into(text, 1, &mut opened_terms);
+        }
         let fig6 = figures::fig6(ds);
         let cvm = figures::cvm_tests(&fig6);
         FullAnalysis {
@@ -113,7 +117,7 @@ impl FullAnalysis {
             fig6,
             cvm,
             origins: origin_stats(ds, blacklist),
-            tfidf: TfidfTable::build(corpus_text, &opened_text, &tokenizer),
+            tfidf: TfidfTable::new(corpus_terms, &opened_terms),
             sophistication: sophistication(ds),
             extended: extended(ds),
             coverage: coverage_stats(ds),
@@ -413,7 +417,7 @@ mod tests {
     #[test]
     fn renders_on_empty_dataset() {
         let ds = Dataset::default();
-        let a = FullAnalysis::compute(&ds, "", &[], None);
+        let a = FullAnalysis::compute(&ds, &TermCounts::new(), &[], None);
         let text = a.render();
         assert!(text.contains("== Overview"));
         assert!(text.contains("Table 2"));
@@ -444,7 +448,7 @@ mod tests {
             from_secs: 100,
             until_secs: 200,
         });
-        let a = FullAnalysis::compute(&ds, "", &[], None);
+        let a = FullAnalysis::compute(&ds, &TermCounts::new(), &[], None);
         let c = a.coverage.as_ref().expect("coverage stats present");
         assert_eq!(c.accounts, 3);
         assert_eq!(c.degraded_accounts, 2);

@@ -17,8 +17,11 @@
 //!
 //! Values land in [0, 1] and shared terms stay comparable across the two
 //! documents, exactly matching the paper's table semantics.
+//!
+//! Both documents arrive as [`TermCounts`] from the same tokenizer: the
+//! run counts `d_A` at seed time, the report counts `d_R`.
 
-use pwnd_corpus::tokenize::Tokenizer;
+use pwnd_corpus::tokenize::TermCounts;
 use std::collections::BTreeMap;
 
 /// One row of the Table 2 data.
@@ -45,36 +48,21 @@ pub struct TfidfTable {
     scores: Vec<TermScore>,
 }
 
-fn counts(tokens: &[String]) -> BTreeMap<&str, f64> {
-    let mut m: BTreeMap<&str, f64> = BTreeMap::new();
-    for t in tokens {
-        *m.entry(t.as_str()).or_insert(0.0) += 1.0;
-    }
-    m
-}
-
 impl TfidfTable {
-    /// Build from the raw text of all emails (`d_A`) and the opened
-    /// emails (`d_R`), running both through the same tokenizer.
-    pub fn build(all_emails_text: &str, opened_text: &str, tokenizer: &Tokenizer) -> TfidfTable {
-        let toks_a = tokenizer.tokenize(all_emails_text);
-        let toks_r = tokenizer.tokenize(opened_text);
-        Self::from_tokens(&toks_a, &toks_r)
-    }
-
-    /// Build from pre-tokenized documents.
-    pub fn from_tokens(tokens_a: &[String], tokens_r: &[String]) -> TfidfTable {
-        let ca = counts(tokens_a);
-        let cr = counts(tokens_r);
-        let mut vocab: Vec<&str> = ca.keys().chain(cr.keys()).copied().collect();
-        vocab.sort_unstable();
-        vocab.dedup();
-
+    /// Build from the term counts of all emails (`d_A`) and of the
+    /// opened emails (`d_R`).
+    pub fn new(counts_a: &TermCounts, counts_r: &TermCounts) -> TfidfTable {
+        // (tf in d_A, tf in d_R) for every term of either document.
+        let mut tf: BTreeMap<&str, (f64, f64)> = BTreeMap::new();
+        for (term, &n) in counts_a {
+            tf.entry(term).or_default().0 = n as f64;
+        }
+        for (term, &n) in counts_r {
+            tf.entry(term).or_default().1 = n as f64;
+        }
         let n_docs = 2.0f64;
-        let mut rows: Vec<(String, f64, f64)> = Vec::with_capacity(vocab.len());
-        for term in vocab {
-            let tfa = ca.get(term).copied().unwrap_or(0.0);
-            let tfr = cr.get(term).copied().unwrap_or(0.0);
+        let mut rows: Vec<(String, f64, f64)> = Vec::with_capacity(tf.len());
+        for (term, (tfa, tfr)) in tf {
             let df = f64::from(u8::from(tfa > 0.0)) + f64::from(u8::from(tfr > 0.0));
             let idf = ((1.0 + n_docs) / (1.0 + df)).ln() + 1.0;
             rows.push((term.to_string(), tfr * idf, tfa * idf));
@@ -125,6 +113,17 @@ impl TfidfTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwnd_corpus::tokenize::Tokenizer;
+
+    /// The table over two raw-text documents, each counted through the
+    /// same tokenizer.
+    fn build(all: &str, opened: &str, tokenizer: &Tokenizer) -> TfidfTable {
+        let mut counts_a = TermCounts::new();
+        let mut counts_r = TermCounts::new();
+        tokenizer.count_into(all, 1, &mut counts_a);
+        tokenizer.count_into(opened, 1, &mut counts_r);
+        TfidfTable::new(&counts_a, &counts_r)
+    }
 
     fn table() -> TfidfTable {
         // d_A: business corpus dominated by "energy"/"transfer".
@@ -135,7 +134,7 @@ mod tests {
         let opened = "payment account bitcoin bitcoin family seller \
                       localbitcoins payment account bitcoins below listed \
                       energy transfer";
-        TfidfTable::build(all, opened, &Tokenizer::new())
+        build(all, opened, &Tokenizer::new())
     }
 
     #[test]
@@ -193,7 +192,7 @@ mod tests {
 
     #[test]
     fn empty_documents_are_safe() {
-        let t = TfidfTable::build("", "", &Tokenizer::new());
+        let t = TfidfTable::new(&TermCounts::new(), &TermCounts::new());
         assert!(t.scores().is_empty());
         assert!(t.top_searched(10).is_empty());
     }
@@ -201,7 +200,7 @@ mod tests {
     #[test]
     fn preprocessing_is_applied() {
         // Short words and header words never appear as terms.
-        let t = TfidfTable::build(
+        let t = build(
             "the charset energy",
             "the delivered payment",
             &Tokenizer::new(),

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use pwnd_analysis::cvm::{cdf_cvm_inf, cramer_von_mises_2samp, permutation_p_value, statistic};
 use pwnd_analysis::stats::Ecdf;
 use pwnd_analysis::tfidf::TfidfTable;
+use pwnd_corpus::tokenize::TermCounts;
 
 fn samples(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1_000.0..1_000.0f64, n)
@@ -94,7 +95,14 @@ proptest! {
     #[test]
     fn tfidf_normalized(words_a in proptest::collection::vec("[a-z]{5,9}", 1..60),
                         words_r in proptest::collection::vec("[a-z]{5,9}", 1..60)) {
-        let table = TfidfTable::from_tokens(&words_a, &words_r);
+        let count = |words: &[String]| {
+            let mut counts = TermCounts::new();
+            for w in words {
+                *counts.entry(w.clone()).or_insert(0) += 1;
+            }
+            counts
+        };
+        let table = TfidfTable::new(&count(&words_a), &count(&words_r));
         let sum_a: f64 = table.scores().iter().map(|s| s.tfidf_a * s.tfidf_a).sum();
         let sum_r: f64 = table.scores().iter().map(|s| s.tfidf_r * s.tfidf_r).sum();
         prop_assert!((sum_a - 1.0).abs() < 1e-9);

@@ -11,6 +11,7 @@ use pwnd_corpus::decoy::generate_decoys;
 use pwnd_corpus::email::{Email, EmailId, MailTime};
 use pwnd_corpus::generator::CorpusGenerator;
 use pwnd_corpus::persona::{DecoyRegion, Persona, PersonaFactory};
+use pwnd_corpus::tokenize::{TermCounts, Tokenizer};
 use pwnd_faults::FaultPlan;
 use pwnd_leak::forum::{generate_inquiries, Forum, SellerAccount, TeaserThread};
 use pwnd_leak::malware::{
@@ -156,7 +157,7 @@ impl Experiment {
         // --- Account setup ----------------------------------------------
         let horizon = SimTime::ZERO + SimDuration::days(cfg.observation_days);
         let span = self.telemetry.span("corpus", &[]);
-        let (mut accounts, corpus_text, extra_stopwords) = self.setup_accounts(
+        let (mut accounts, corpus_terms, extra_stopwords) = self.setup_accounts(
             &mut service,
             &mut runtime,
             &mut scraper,
@@ -402,7 +403,7 @@ impl Experiment {
             dataset,
             ground_truth,
             leaks,
-            corpus_text,
+            corpus_terms,
             extra_stopwords,
             blacklist,
             telemetry: self.telemetry.clone(),
@@ -418,12 +419,11 @@ impl Experiment {
         geo: &GeoDb,
         rng_setup: &mut Rng,
         rng_corpus: &mut Rng,
-    ) -> (Vec<HoneyAccount>, String, Vec<String>) {
+    ) -> (Vec<HoneyAccount>, TermCounts, Vec<String>) {
         let cfg = &self.config;
         let mut factory = PersonaFactory::new();
         let mut generator = CorpusGenerator::with_archetype(cfg.archetype);
         let mut accounts: Vec<HoneyAccount> = Vec::new();
-        let mut corpus_text = String::new();
         let mut stopwords: Vec<String> =
             vec!["honeymail".into(), "example".into(), "meridianpower".into()];
 
@@ -448,9 +448,9 @@ impl Experiment {
                     None
                 };
                 // Sub-phase attribution: persona + signup ("addresses"),
-                // email synthesis ("bodies"), TF-IDF corpus accumulation
-                // ("vocab"), and mailbox/rule/script insertion ("index").
-                // Guards never reorder the RNG draws they wrap.
+                // email synthesis ("bodies"), and mailbox/rule/script
+                // insertion ("index"). Guards never reorder the RNG draws
+                // they wrap.
                 let (persona, address, password, id) = {
                     let _stage = self.telemetry.span("addresses", &[]);
                     let persona = factory.generate(region, rng_setup);
@@ -486,13 +486,6 @@ impl Experiment {
                         rng_corpus,
                     )
                 };
-                {
-                    let _stage = self.telemetry.span("vocab", &[]);
-                    for e in &mailbox {
-                        corpus_text.push_str(&e.full_text());
-                        corpus_text.push('\n');
-                    }
-                }
                 let mailbox_len = mailbox.len();
                 {
                     let _stage = self.telemetry.span("index", &[]);
@@ -503,13 +496,6 @@ impl Experiment {
                         let _stage = self.telemetry.span("bodies", &[]);
                         generate_decoys(&persona, 5_000_000 + id.0 as u64 * 10, rng_corpus)
                     };
-                    {
-                        let _stage = self.telemetry.span("vocab", &[]);
-                        for d in &decoys {
-                            corpus_text.push_str(&d.email.full_text());
-                            corpus_text.push('\n');
-                        }
-                    }
                     let _stage = self.telemetry.span("index", &[]);
                     service.seed_mailbox(id, decoys.into_iter().map(|d| d.email).collect());
                 }
@@ -567,7 +553,20 @@ impl Experiment {
         }
         stopwords.sort_unstable();
         stopwords.dedup();
-        (accounts, corpus_text, stopwords)
+
+        // TF-IDF's d_A, before any mail is seeded mid-run. Each alphabetic
+        // run lies inside one alphanumeric index term, so weighting each
+        // term's tokens by its count equals tokenizing the whole corpus.
+        let corpus_terms = {
+            let _stage = self.telemetry.span("vocab", &[]);
+            let tokenizer = Tokenizer::new().with_extra_stopwords(&stopwords);
+            let mut counts = TermCounts::new();
+            for (term, n) in service.seeded_terms() {
+                tokenizer.count_into(term, n, &mut counts);
+            }
+            counts
+        };
+        (accounts, corpus_terms, stopwords)
     }
 
     fn leak_credentials(
@@ -915,6 +914,7 @@ fn execute_visit(
             break; // account blocked mid-visit
         }
     }
+    service.logout(session);
 }
 
 // The event loop's per-event dispatch: one call = one simulated action.
@@ -1077,8 +1077,8 @@ mod tests {
         assert!(!out.ground_truth.blocked_accounts.is_empty());
         // Attackers really searched (provider-side ground truth).
         assert!(!out.ground_truth.searched_queries.is_empty());
-        // Corpus text exists for TF-IDF.
-        assert!(out.corpus_text.len() > 10_000);
+        // The seeded corpus feeds TF-IDF document d_A.
+        assert!(out.corpus_terms.len() > 50, "{}", out.corpus_terms.len());
     }
 
     #[test]

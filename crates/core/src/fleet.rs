@@ -20,7 +20,7 @@
 //! ## Memory
 //!
 //! Shards are mapped in-worker ([`Runner::run_map`]) down to their
-//! dataset plus byte accounting; the corpus text and ground truth never
+//! dataset plus byte accounting; the d_A term counts and ground truth never
 //! survive the worker. `fleet.peak_rss_proxy` reports the high-water
 //! per-shard resident state (interner + collections, counted from the
 //! data structures — the wall clock and the OS are never consulted),

@@ -2,6 +2,7 @@
 //! points.
 
 use pwnd_analysis::report::FullAnalysis;
+use pwnd_corpus::tokenize::TermCounts;
 use pwnd_leak::forum::{Inquiry, SellerAccount, TeaserThread};
 use pwnd_leak::malware::CycleRecord;
 use pwnd_leak::plan::LeakRecord;
@@ -58,8 +59,9 @@ pub struct RunOutput {
     pub ground_truth: GroundTruth,
     /// Where every credential was leaked.
     pub leaks: Vec<LeakRecord>,
-    /// Concatenated text of all seeded emails (TF-IDF document `d_A`).
-    pub corpus_text: String,
+    /// Term counts of every email seeded at setup (TF-IDF document
+    /// `d_A`), already filtered by `extra_stopwords`.
+    pub corpus_terms: TermCounts,
     /// Stopwords stripped before TF-IDF (honey handles, infra markers).
     pub extra_stopwords: Vec<String>,
     /// The DNSBL snapshot for the post-hoc blacklist check.
@@ -81,7 +83,7 @@ impl RunOutput {
         let _span = self.telemetry.span("analysis", &[]);
         FullAnalysis::compute(
             &self.dataset,
-            &self.corpus_text,
+            &self.corpus_terms,
             &self.extra_stopwords,
             Some(&self.blacklist),
         )

@@ -181,7 +181,7 @@ impl Runner {
     /// Run every config and transform each [`RunOutput`] *inside the
     /// worker* before it is parked in its submission slot. The fleet
     /// engine uses this to keep only the per-shard dataset and byte
-    /// accounting, dropping the corpus text and ground truth while the
+    /// accounting, dropping the d_A term counts and ground truth while the
     /// batch is still running instead of holding every full output
     /// until the join.
     ///

@@ -60,16 +60,10 @@ pub struct Email {
 }
 
 impl Email {
-    /// Subject plus body — the text the tokenizer consumes.
+    /// Subject plus body, joined by a newline: the text the monitoring
+    /// script reports for an opened or drafted message (TF-IDF's `d_R`).
     pub fn full_text(&self) -> String {
         format!("{}\n{}", self.subject, self.body)
-    }
-
-    /// Whether this message mentions `needle` (case-insensitive), the
-    /// primitive behind the webmail search index's fallback path.
-    pub fn contains_term(&self, needle: &str) -> bool {
-        let n = needle.to_lowercase();
-        self.subject.to_lowercase().contains(&n) || self.body.to_lowercase().contains(&n)
     }
 }
 
@@ -96,14 +90,6 @@ mod tests {
         assert!(before < MailTime(0));
         assert!(MailTime(0) < after);
         assert!((before.as_days_f64() + 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contains_term_is_case_insensitive() {
-        let e = email();
-        assert!(e.contains_term("TRANSFER"));
-        assert!(e.contains_term("energy"));
-        assert!(!e.contains_term("bitcoin"));
     }
 
     #[test]

@@ -309,7 +309,8 @@ mod tests {
         let mb = g.generate_mailbox(&owner, &peers, 250, 300, &mut rng);
         let with_payment = mb
             .iter()
-            .filter(|e| e.contains_term("payment") || e.contains_term("account"))
+            .map(|e| e.full_text().to_lowercase())
+            .filter(|t| t.contains("payment") || t.contains("account"))
             .count();
         assert!(with_payment > 0, "no sensitive messages at all");
         assert!(

@@ -8,7 +8,7 @@
 //! length filter, the header stoplist, and caller-supplied extra stop
 //! terms (handles and monitor markers).
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Minimum term length kept by the pipeline.
 pub const MIN_TERM_LEN: usize = 5;
@@ -35,6 +35,10 @@ pub const HEADER_STOPWORDS: &[&str] = &[
     "return",
     "sender",
 ];
+
+/// Occurrences per term, in lexicographic term order: one TF-IDF
+/// document.
+pub type TermCounts = BTreeMap<String, u64>;
 
 /// A reusable tokenizer configuration.
 #[derive(Clone, Debug, Default)]
@@ -69,6 +73,14 @@ impl Tokenizer {
             .filter(|w| !HEADER_STOPWORDS.contains(&w.as_str()))
             .filter(|w| !self.extra_stop.contains(w))
             .collect()
+    }
+
+    /// Add the terms of `text` to `counts`, each `weight` times (the
+    /// number of times `text` occurs in the document).
+    pub fn count_into(&self, text: &str, weight: u64, counts: &mut TermCounts) {
+        for term in self.tokenize(text) {
+            *counts.entry(term).or_insert(0) += weight;
+        }
     }
 }
 
@@ -113,6 +125,17 @@ mod tests {
         let toks = t.tokenize("12345 67890abcde payment99999");
         // "abcde" survives (alphabetic run of 5), digits never do.
         assert_eq!(toks, vec!["abcde", "payment"]);
+    }
+
+    #[test]
+    fn count_into_weights_every_term() {
+        let t = Tokenizer::new();
+        let mut counts = TermCounts::new();
+        t.count_into("energy market energy", 1, &mut counts);
+        t.count_into("energy", 3, &mut counts);
+        assert_eq!(counts["energy"], 5);
+        assert_eq!(counts["market"], 1);
+        assert_eq!(counts.len(), 2);
     }
 
     #[test]

@@ -39,6 +39,28 @@ proptest! {
         }
     }
 
+    /// Tokenizing a text equals tokenizing each of its lowercased
+    /// `[A-Za-z0-9]+` runs (the search index's terms) on its own and
+    /// concatenating the results, so term counts from the index give
+    /// the same TF-IDF document as the raw text. The alphabet mixes
+    /// case, digits, punctuation, newlines and non-ASCII letters (the
+    /// Kelvin sign and the long s case-map to ASCII letters); ASCII
+    /// letters repeat in the class so runs of five or more are common.
+    #[test]
+    fn tokenizing_index_terms_equals_tokenizing_the_text(
+        text in "[abcABCabcABCabcABCabcABC01 ,.:_\né\u{212a}\u{17f}ß-]{0,300}",
+        stop in "[abc]{5}",
+    ) {
+        let tok = Tokenizer::new().with_extra_stopwords([stop.as_str()]);
+        let whole = tok.tokenize(&text);
+        let by_term: Vec<String> = text
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .filter(|run| !run.is_empty())
+            .flat_map(|run| tok.tokenize(&run.to_ascii_lowercase()))
+            .collect();
+        prop_assert_eq!(whole, by_term);
+    }
+
     /// Extra stopwords are always honoured.
     #[test]
     fn extra_stopwords_respected(word in "[a-z]{5,12}") {

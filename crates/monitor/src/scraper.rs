@@ -267,9 +267,10 @@ impl Scraper {
         // A fresh session always reads its own page in a healthy
         // service; under fault injection the session may already be torn
         // down, which the retry loop should treat as a transient flake.
-        let rows = service
-            .read_activity_page(session)
-            .map_err(|_| LoginError::Maintenance)?;
+        // The scrape needs nothing else, so the session ends here.
+        let rows = service.read_activity_page(session);
+        service.logout(session);
+        let rows = rows.map_err(|_| LoginError::Maintenance)?;
         // The scraper's own login mutates the page; fingerprint
         // only foreign rows so quiet accounts dedupe.
         let fingerprint: Vec<(u64, u64)> = rows
@@ -711,5 +712,39 @@ mod tests {
         let (mut svc, mut scraper, _) = world();
         scraper.scrape_all(&mut svc, SimTime::ZERO + SimDuration::hours(1));
         assert_eq!(scraper.dumps().len(), 1);
+    }
+
+    #[test]
+    fn polls_leave_no_open_session() {
+        use pwnd_webmail::service::{OpError, SessionId};
+        let (mut svc, mut scraper, id) = world();
+        let polls = 6;
+        for i in 1..=polls {
+            let outcome = scraper.scrape(&mut svc, id, SimTime::from_secs(i * 600));
+            assert!(matches!(outcome, ScrapeOutcome::Ok(_)), "{outcome:?}");
+        }
+        // Session ids are issued in sequence from 1, so the polls held
+        // ids 1..=polls, and every one of them is closed.
+        let conn = ConnectionInfo::new(
+            AddressPlan::sample_infra(&mut Rng::seed_from(4)),
+            ClientConfig::plain(Browser::Chrome, Os::Linux),
+            pwnd_net::geo::UK_MIDPOINT,
+        );
+        let (next, _) = svc
+            .login(
+                "h@honeymail.example",
+                "pw",
+                &conn,
+                SimTime::from_secs(9_000),
+            )
+            .unwrap();
+        assert_eq!(next, SessionId(polls + 1));
+        for k in 1..=polls {
+            assert_eq!(
+                svc.read_activity_page(SessionId(k)).map(|rows| rows.len()),
+                Err(OpError::InvalidSession),
+                "session {k} is still open"
+            );
+        }
     }
 }

@@ -18,7 +18,6 @@
 //! strings; the ranking and results are unchanged — symbols are an
 //! encoding, not a semantic change.
 
-use crate::mailbox::Mailbox;
 use pwnd_corpus::email::{Email, EmailId, MailTime};
 use pwnd_sim::intern::{Interner, Symbol};
 use pwnd_sim::SimTime;
@@ -64,37 +63,22 @@ impl SearchIndex {
         SearchIndex::default()
     }
 
-    /// Build the index for everything currently in `mailbox`, interning
-    /// terms into `vocab`.
-    pub fn build(mailbox: &Mailbox, vocab: &mut Interner) -> SearchIndex {
-        let mut idx = SearchIndex::new();
-        for entry in mailbox.iter() {
-            idx.add_email(vocab, &entry.email);
-        }
-        idx
-    }
-
-    /// Index one email. Terms are tokenized straight off the subject and
-    /// body — callers no longer materialize the concatenated
-    /// `full_text()` string just to throw it away after tokenization.
+    /// Index one email, handing each term occurrence's symbol to
+    /// `on_term`. Terms are tokenized straight off the subject and body.
     /// (Pre-deduplicating terms per email was measured slower than
     /// letting the postings `BTreeSet` absorb repeats.)
-    pub fn add_email(&mut self, vocab: &mut Interner, email: &Email) {
+    pub fn add_email(
+        &mut self,
+        vocab: &mut Interner,
+        email: &Email,
+        mut on_term: impl FnMut(Symbol),
+    ) {
         for term in terms_of(&email.subject).chain(terms_of(&email.body)) {
             let sym = vocab.intern(&term);
+            on_term(sym);
             self.postings.entry(sym).or_default().insert(email.id);
         }
         self.recency.insert(email.id, email.timestamp);
-    }
-
-    /// Index one document given as raw text (callers with a real
-    /// [`Email`] should prefer [`SearchIndex::add_email`]).
-    pub fn add(&mut self, vocab: &mut Interner, id: EmailId, text: &str, timestamp: MailTime) {
-        for term in terms_of(text) {
-            let sym = vocab.intern(&term);
-            self.postings.entry(sym).or_default().insert(id);
-        }
-        self.recency.insert(id, timestamp);
     }
 
     /// Run a query at time `at`: conjunctive term match, results ranked
@@ -161,11 +145,6 @@ impl SearchIndex {
         &self.query_log
     }
 
-    /// Number of distinct indexed terms.
-    pub fn term_count(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Approximate heap footprint of this index in bytes, counting the
     /// postings map (4-byte symbol keys, 8-byte email ids), the recency
     /// map, and the query log — but **not** the shared arena, which is
@@ -205,16 +184,15 @@ mod tests {
     }
 
     fn index() -> (SearchIndex, Interner) {
-        let mut mb = Mailbox::new();
-        mb.deliver(mk(
-            1,
-            "Payment schedule",
-            "the wire transfer payment is due",
-        ));
-        mb.deliver(mk(2, "Lunch", "see you at noon"));
-        mb.deliver(mk(3, "Account payment", "account number attached"));
         let mut vocab = Interner::new();
-        let idx = SearchIndex::build(&mb, &mut vocab);
+        let mut idx = SearchIndex::new();
+        for email in [
+            mk(1, "Payment schedule", "the wire transfer payment is due"),
+            mk(2, "Lunch", "see you at noon"),
+            mk(3, "Account payment", "account number attached"),
+        ] {
+            idx.add_email(&mut vocab, &email, |_| {});
+        }
         (idx, vocab)
     }
 
@@ -261,7 +239,7 @@ mod tests {
     #[test]
     fn incremental_add_is_searchable() {
         let (mut idx, mut vocab) = index();
-        idx.add(&mut vocab, EmailId(9), "bitcoin ransom draft", MailTime(5));
+        idx.add_email(&mut vocab, &mk(9, "bitcoin", "ransom draft"), |_| {});
         assert_eq!(
             idx.search(&vocab, "bitcoin", SimTime::ZERO),
             vec![EmailId(9)]
@@ -272,11 +250,32 @@ mod tests {
     fn recency_ranking_overrides_id_order() {
         let mut vocab = Interner::new();
         let mut idx = SearchIndex::new();
-        idx.add(&mut vocab, EmailId(1), "payment new", MailTime(100));
-        idx.add(&mut vocab, EmailId(2), "payment old", MailTime(-100));
+        let mut new = mk(1, "payment", "new");
+        new.timestamp = MailTime(100);
+        let mut old = mk(2, "payment", "old");
+        old.timestamp = MailTime(-100);
+        idx.add_email(&mut vocab, &new, |_| {});
+        idx.add_email(&mut vocab, &old, |_| {});
         assert_eq!(
             idx.search(&vocab, "payment", SimTime::ZERO),
             vec![EmailId(1), EmailId(2)]
+        );
+    }
+
+    #[test]
+    fn add_email_reports_every_term_occurrence() {
+        let mut vocab = Interner::new();
+        let mut idx = SearchIndex::new();
+        let mut seen = Vec::new();
+        idx.add_email(
+            &mut vocab,
+            &mk(1, "Payment due", "PAYMENT: wire-transfer 42"),
+            |sym| seen.push(sym),
+        );
+        let terms: Vec<&str> = seen.iter().map(|&sym| vocab.resolve(sym)).collect();
+        assert_eq!(
+            terms,
+            ["payment", "due", "payment", "wire", "transfer", "42"]
         );
     }
 
@@ -285,18 +284,8 @@ mod tests {
         let mut vocab = Interner::new();
         let mut a = SearchIndex::new();
         let mut b = SearchIndex::new();
-        a.add(
-            &mut vocab,
-            EmailId(1),
-            "quarterly payment invoice",
-            MailTime(0),
-        );
-        b.add(
-            &mut vocab,
-            EmailId(2),
-            "invoice payment overdue",
-            MailTime(0),
-        );
+        a.add_email(&mut vocab, &mk(1, "quarterly", "payment invoice"), |_| {});
+        b.add_email(&mut vocab, &mk(2, "invoice", "payment overdue"), |_| {});
         // Four distinct terms total; the arena holds each exactly once.
         assert_eq!(vocab.len(), 4);
         assert_eq!(a.search(&vocab, "payment", SimTime::ZERO), vec![EmailId(1)]);

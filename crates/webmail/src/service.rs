@@ -122,6 +122,8 @@ pub struct WebmailService {
     /// of every mailbox intern into one insertion-ordered table, so a
     /// fleet shard stores each distinct string once.
     vocab: Interner,
+    /// Occurrences of each term in seeded mail, indexed by symbol id.
+    seeded_terms: Vec<u64>,
     rules: Vec<RuleSet>,
     activity: Vec<ActivityPage>,
     habitual: Vec<Vec<GeoPoint>>,
@@ -152,6 +154,7 @@ impl WebmailService {
             mailboxes: Vec::new(),
             indexes: Vec::new(),
             vocab: Interner::new(),
+            seeded_terms: Vec::new(),
             rules: Vec::new(),
             activity: Vec::new(),
             habitual: Vec::new(),
@@ -247,7 +250,8 @@ impl WebmailService {
     /// Seed a mailbox with corpus emails (researcher setup step). Each
     /// delivery runs through the account's automation rules, exactly as
     /// a real incoming message would (§2: rules "automatically process
-    /// received emails").
+    /// received emails"), and its terms count toward
+    /// [`WebmailService::seeded_terms`].
     pub fn seed_mailbox(&mut self, account: AccountId, emails: Vec<Email>) {
         let idx = account.0 as usize;
         for email in emails {
@@ -257,7 +261,14 @@ impl WebmailService {
                 .into_iter()
                 .cloned()
                 .collect();
-            self.indexes[idx].add_email(&mut self.vocab, &email);
+            let seeded = &mut self.seeded_terms;
+            self.indexes[idx].add_email(&mut self.vocab, &email, |sym| {
+                let i = sym.id() as usize;
+                if i >= seeded.len() {
+                    seeded.resize(i + 1, 0);
+                }
+                seeded[i] += 1;
+            });
             self.mailboxes[idx].deliver(email);
             for action in actions {
                 match action {
@@ -419,6 +430,12 @@ impl WebmailService {
         Ok((session, cookie))
     }
 
+    /// End a session (silently: no event, no activity row); operations
+    /// on it then fail with [`OpError::InvalidSession`].
+    pub fn logout(&mut self, session: SessionId) {
+        self.sessions.remove(&session);
+    }
+
     fn session(&self, session: SessionId) -> Result<(AccountId, CookieId, bool), OpError> {
         let s = self.sessions.get(&session).ok_or(OpError::InvalidSession)?;
         if !self.accounts[s.account.0 as usize].state.is_active() {
@@ -492,10 +509,14 @@ impl WebmailService {
         Ok(self.indexes[account.0 as usize].search(&self.vocab, query, at))
     }
 
-    /// The shared string arena (account addresses plus the search
-    /// vocabulary of every mailbox).
-    pub fn search_vocab(&self) -> &Interner {
-        &self.vocab
+    /// `(term, occurrences)` over all mail seeded so far (not drafts or
+    /// sent mail), in symbol order; terms are the index's.
+    pub fn seeded_terms(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.seeded_terms
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| (self.vocab.resolve(Symbol::from_id(i as u32)), n))
     }
 
     /// Approximate heap bytes of the interned hot state: the shared
@@ -536,7 +557,7 @@ impl WebmailService {
             body: body.to_string(),
             timestamp: MailTime::from_sim(at),
         };
-        self.indexes[account.0 as usize].add_email(&mut self.vocab, &email);
+        self.indexes[account.0 as usize].add_email(&mut self.vocab, &email, |_| {});
         self.mailboxes[account.0 as usize].store_draft(email);
         self.events.push(WebmailEvent::DraftCreated {
             account,
@@ -692,11 +713,6 @@ impl WebmailService {
     /// Account record (ground truth).
     pub fn account(&self, id: AccountId) -> &Account {
         &self.accounts[id.0 as usize]
-    }
-
-    /// Number of accounts.
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
     }
 
     /// Mailbox (ground truth; the monitor goes through sessions instead).
@@ -863,6 +879,67 @@ mod tests {
         // Search queries never appear in the event stream (monitor can't
         // see them) but they are in the provider log.
         assert_eq!(svc.query_log(id).len(), 1);
+    }
+
+    #[test]
+    fn logout_invalidates_the_session() {
+        let (mut svc, mut rng) = service();
+        setup_account(&mut svc);
+        let c = conn(&svc, &mut rng, "GB");
+        let (session, _) = svc
+            .login("honey@honeymail.example", "pw123456", &c, SimTime::ZERO)
+            .unwrap();
+        let at = SimTime::from_secs(10);
+        svc.logout(session);
+        assert_eq!(
+            svc.list_folder(session, Folder::Inbox),
+            Err(OpError::InvalidSession)
+        );
+        assert_eq!(
+            svc.search(session, "payment", at),
+            Err(OpError::InvalidSession)
+        );
+        assert_eq!(
+            svc.open_email(session, EmailId(1), at),
+            Err(OpError::InvalidSession)
+        );
+        assert_eq!(
+            svc.read_activity_page(session).map(|rows| rows.len()),
+            Err(OpError::InvalidSession)
+        );
+        assert_eq!(
+            svc.create_draft(session, vec![], "s", "b", at),
+            Err(OpError::InvalidSession)
+        );
+        // A second logout of the same session is harmless.
+        svc.logout(session);
+    }
+
+    #[test]
+    fn seeded_terms_count_seeded_mail_only() {
+        let (mut svc, mut rng) = service();
+        setup_account(&mut svc);
+        let counts: BTreeMap<&str, u64> = svc.seeded_terms().collect();
+        // Subjects are "mail 1" and "mail 2".
+        assert_eq!(counts["mail"], 2);
+        assert_eq!(counts["1"], 1);
+        assert_eq!(counts["payment"], 1);
+        assert!(!counts.contains_key("honey"), "addresses are not terms");
+
+        // Drafts are indexed but never seeded.
+        let c = conn(&svc, &mut rng, "GB");
+        let (session, _) = svc
+            .login("honey@honeymail.example", "pw123456", &c, SimTime::ZERO)
+            .unwrap();
+        svc.create_draft(session, vec![], "payment ransom", "", SimTime::ZERO)
+            .unwrap();
+        let after: BTreeMap<&str, u64> = svc.seeded_terms().collect();
+        assert_eq!(after["payment"], 1);
+        assert!(!after.contains_key("ransom"));
+        assert_eq!(
+            svc.search(session, "ransom", SimTime::ZERO).unwrap().len(),
+            1
+        );
     }
 
     #[test]

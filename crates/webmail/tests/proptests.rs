@@ -240,12 +240,11 @@ proptest! {
                 timestamp: MailTime(*ts),
             })
             .collect();
-        let mut mb = Mailbox::new();
-        for e in &emails {
-            mb.deliver(e.clone());
-        }
         let mut vocab = pwnd_sim::intern::Interner::new();
-        let mut idx = pwnd_webmail::search::SearchIndex::build(&mb, &mut vocab);
+        let mut idx = pwnd_webmail::search::SearchIndex::new();
+        for e in &emails {
+            idx.add_email(&mut vocab, e, |_| {});
+        }
         for (qi, q) in queries.iter().enumerate() {
             // Indexes past VOCAB map to an unindexed word; odd slots get
             // uppercase + punctuation noise to exercise normalization.

@@ -14,9 +14,11 @@ fn activist_scenario_flips_the_inferred_vocabulary() {
     let activist = Experiment::new(activist_cfg).run();
 
     // The activist corpus speaks activist language...
-    assert!(activist.corpus_text.contains("campaign"));
-    assert!(activist.corpus_text.contains("Open Voices Coalition"));
-    assert!(!activist.corpus_text.contains("Meridian Power Group"));
+    for term in ["campaign", "voices", "coalition"] {
+        assert!(activist.corpus_terms.contains_key(term), "{term}");
+    }
+    assert!(!activist.corpus_terms.contains_key("meridian"));
+    assert!(corporate.corpus_terms.contains_key("meridian"));
 
     // ...and the targeted attackers search the activist-sensitive pool.
     let activist_queries: Vec<&String> = activist

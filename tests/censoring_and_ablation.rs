@@ -35,7 +35,7 @@ fn decoy_seeding_adds_bait_that_attackers_find() {
     cfg.seed_decoys = true;
     let out = Experiment::new(cfg).run();
     // The decoys are in the corpus...
-    assert!(out.corpus_text.contains("Routing number"));
+    assert!(out.corpus_terms.contains_key("routing"));
     // ...and gold diggers searching "account"/"salary"/"password" open
     // them (§5 future work: decoys widen the observable search surface).
     let decoy_opened = out

@@ -1,6 +1,7 @@
-//! Committed output digests: the published dataset, the fleet store and
-//! the daemon's `/v1/stats` body must stay byte-identical across
-//! commits, not merely repeat within one (that is `determinism.rs`).
+//! Committed output digests: the published dataset, the §4 analysis
+//! report, the fleet store and the daemon's `/v1/stats` body must stay
+//! byte-identical across commits, not merely repeat within one (that is
+//! `determinism.rs`).
 //!
 //! Each digest is the SHA-256 of one output. A change that moves any of
 //! them changes what the testbed publishes, and must say so in
@@ -16,19 +17,39 @@ fn dataset_digest(cfg: ExperimentConfig) -> String {
     Sha256::digest_hex(Experiment::new(cfg).run().dataset_json().as_bytes())
 }
 
+/// The dataset digest and the `analysis().render()` digest of one run.
+fn dataset_and_report_digests(cfg: ExperimentConfig) -> (String, String) {
+    let out = Experiment::new(cfg).run();
+    (
+        Sha256::digest_hex(out.dataset_json().as_bytes()),
+        Sha256::digest_hex(out.analysis().render().as_bytes()),
+    )
+}
+
+/// The paper run's report digest is also perfbench's `REPORT_SHA256`.
 #[test]
 fn paper_dataset_digest() {
+    let (dataset, report) = dataset_and_report_digests(ExperimentConfig::paper(2016));
     assert_eq!(
-        dataset_digest(ExperimentConfig::paper(2016)),
+        dataset,
         "33c4e953acdef7a1446be32dbcfc118a372911a2de987b7f3c9ab0addd374387"
+    );
+    assert_eq!(
+        report,
+        "e31da7bfb9afb523e612da7b73cd96a734ea87907516994d56ed584d0b8220dc"
     );
 }
 
 #[test]
 fn quick_dataset_digest() {
+    let (dataset, report) = dataset_and_report_digests(ExperimentConfig::quick(2016));
     assert_eq!(
-        dataset_digest(ExperimentConfig::quick(2016)),
+        dataset,
         "4b9fabd878b11c650bd80ed65dfaeb71756a62620bc63c4075888a0a66ad6188"
+    );
+    assert_eq!(
+        report,
+        "550ce4e67ed2b7c6a0e92209d7e89de4ff32df9120b67cf0034ebc97a9ef8fef"
     );
 }
 
